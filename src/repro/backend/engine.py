@@ -36,6 +36,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.analysis.model import make_diagnostic
 from repro.backend.rewrite import RewriteDecision, analyze_query
+from repro.cache import BoundedCache
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
@@ -84,10 +85,11 @@ class SqlCqaEngine:
         self._fallback_engine: Optional[CqaEngine] = None
         # Formulas are hashable, so explain() followed by answer()/
         # certain_answers() (the session routing pattern) and repeated
-        # queries compile once.
-        self._decision_cache: Dict[
+        # queries compile once.  Bounded: a mirror's engine lives as
+        # long as its data, and client traffic brings new query texts.
+        self._decision_cache: BoundedCache[
             Tuple[Formula, Optional[Tuple[str, ...]]], RewriteDecision
-        ] = {}
+        ] = BoundedCache(1024, "sql_decision")
         #: Routing of the most recent call: ``"sqlite"`` or
         #: ``"fallback: <reason>"``.
         self.last_route: Optional[str] = None
@@ -140,7 +142,7 @@ class SqlCqaEngine:
             decision = analyze_query(
                 formula, self.schema, self.dependencies, variables
             )
-            self._decision_cache[key] = decision
+            self._decision_cache.put(key, decision)
         return decision
 
     def _fallback(self) -> CqaEngine:

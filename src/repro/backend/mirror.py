@@ -16,6 +16,13 @@ side tables live on the mirror connection.  Because a re-save
 reassigns rowids, every refresh invalidates the preference engine and
 runs the registered *refresh hooks* — the incremental-maintenance
 seam the side tables hang off.
+
+Every write to the connection happens in :meth:`engine_for` and
+:meth:`pref_engine_for`: the re-save, and the preference engine's
+edge, conflict and per-family survivor tables, which it builds in full
+when it is constructed or its priority grows.  Answering a query only
+reads, so once those calls return (the broker makes them under its
+per-database mirror lock) concurrent readers may share the connection.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ class SqliteMirror:
     ) -> None:
         # The service broker refreshes and queries the mirror from
         # whichever front-end thread holds the per-database refresh
-        # lock, so access is serialized per refresh but not
-        # thread-affine (and read-only queries may overlap).
+        # lock, so writes are serialized but not thread-affine, and
+        # read-only queries may overlap.
         self._connection = sqlite3.connect(target, check_same_thread=False)
         self.dependencies = tuple(dependencies)
         self.family = family

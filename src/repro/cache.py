@@ -1,0 +1,91 @@
+"""The bounded cache every memo in the system is built on.
+
+The broker's answers and route reports, the SQL engines' routing
+decisions, the evaluator's contexts and the incremental engine's
+per-component repair sets are all kept in a :class:`BoundedCache`: a
+thread-safe mapping that holds at most ``max_entries`` values and
+evicts the least recently used one to make room.  Each cache names its
+*family*; hits, misses and evictions are counted on the instance and
+reported per family through :func:`repro.obs.observe_cache`.
+
+Keys are content fingerprints (query texts, row sets, instance
+states), so a stale entry can never be served: it simply stops being
+looked up and ages out under the bound.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from typing import Dict, Generic, Hashable, Optional, TypeVar
+
+from repro.obs import observe_cache
+
+K = TypeVar("K", bound=Hashable)
+V = TypeVar("V")
+
+
+class BoundedCache(Generic[K, V]):
+    """Thread-safe LRU map of at most ``max_entries`` non-``None`` values."""
+
+    __slots__ = (
+        "family", "max_entries", "_entries", "_lock",
+        "hits", "misses", "evictions",
+    )
+
+    def __init__(self, max_entries: int, family: str) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be positive")
+        self.family = family
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[K, V]" = OrderedDict()  # guarded-by: _lock
+        self._lock = threading.Lock()
+        self.hits = 0  # guarded-by: _lock
+        self.misses = 0  # guarded-by: _lock
+        self.evictions = 0  # guarded-by: _lock
+
+    def __len__(self) -> int:
+        # Size probe; atomic under the GIL, staleness is harmless.
+        return len(self._entries)  # lint: unguarded-ok
+
+    def get(self, key: K) -> Optional[V]:
+        """The value under ``key`` (now most recently used), or None."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+        observe_cache(self.family, "miss" if value is None else "hit")
+        return value
+
+    def put(self, key: K, value: V) -> None:
+        """Store ``value``, evicting the least recently used entry if full."""
+        with self._lock:
+            evict = (
+                key not in self._entries
+                and len(self._entries) >= self.max_entries
+            )
+            if evict:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+        if evict:
+            observe_cache(self.family, "eviction")
+
+    def clear(self) -> None:
+        """Drop every entry (counters keep their totals)."""
+        with self._lock:
+            self._entries.clear()
+
+    def stats(self) -> Dict[str, int]:
+        """``{entries, hits, misses, evictions}``, one consistent snapshot."""
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }

@@ -12,14 +12,19 @@ content makes invalidation implicit: when an update merges or splits
 components, the new components have new vertex sets and simply miss the
 cache, while every untouched component keeps hitting its old entry.
 
-Entries are evicted FIFO past ``max_entries`` so a long-running engine
-that churns through many instance versions stays bounded.
+Each of the three stores (subgraphs, repair fragments, preferred
+fragments) is a :class:`~repro.cache.BoundedCache` of ``max_entries``,
+so a long-running engine that churns through many instance versions
+stays bounded.  Fragment and preferred lookups report under the
+``component_repair`` cache family, subgraph lookups under
+``component_graph``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
+from repro.cache import BoundedCache
 from repro.constraints.conflict_graph import ConflictGraph
 from repro.core.cleaning import all_cleaning_results
 from repro.core.families import Family
@@ -28,7 +33,6 @@ from repro.core.optimality import (
     is_locally_optimal,
     is_semi_globally_optimal,
 )
-from repro.obs import observe_cache
 from repro.priorities.priority import Priority, PriorityEdge
 from repro.relational.rows import Row
 from repro.repairs.enumerate import enumerate_repairs, repair_sort_key
@@ -51,23 +55,16 @@ class ComponentRepairCache:
     """Per-component repair sets, preferred fragments and subgraphs."""
 
     def __init__(self, max_entries: int = 4096) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._graphs: Dict[FrozenSet[Row], ConflictGraph] = {}
-        self._fragments: Dict[FrozenSet[Row], List[Repair]] = {}
-        self._preferred: Dict[FamilyKey, List[Repair]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def _hit(self) -> None:
-        self.hits += 1
-        observe_cache("component_repair", "hit")
-
-    def _miss(self) -> None:
-        self.misses += 1
-        observe_cache("component_repair", "miss")
+        self._graphs: BoundedCache[FrozenSet[Row], ConflictGraph] = (
+            BoundedCache(max_entries, "component_graph")
+        )
+        self._fragments: BoundedCache[FrozenSet[Row], List[Repair]] = (
+            BoundedCache(max_entries, "component_repair")
+        )
+        self._preferred: BoundedCache[FamilyKey, List[Repair]] = (
+            BoundedCache(max_entries, "component_repair")
+        )
 
     # Entry points -------------------------------------------------------------
 
@@ -78,7 +75,7 @@ class ComponentRepairCache:
         cached = self._graphs.get(component)
         if cached is None:
             cached = graph.induced_component(component)
-            self._remember(self._graphs, component, cached)
+            self._graphs.put(component, cached)
         return cached
 
     def repair_fragments(
@@ -87,15 +84,13 @@ class ComponentRepairCache:
         """All maximal independent sets of the component."""
         cached = self._fragments.get(component)
         if cached is not None:
-            self._hit()
             return cached
-        self._miss()
         subgraph = self.component_graph(graph, component)
         # The component is connected by construction; skip re-factoring.
         fragments = _deterministic(
             list(enumerate_repairs(subgraph, factor_components=False))
         )
-        self._remember(self._fragments, component, fragments)
+        self._fragments.put(component, fragments)
         return fragments
 
     def preferred_fragments(
@@ -119,9 +114,7 @@ class ComponentRepairCache:
         key: FamilyKey = (family, component, active_edges)
         cached = self._preferred.get(key)
         if cached is not None:
-            self._hit()
             return cached
-        self._miss()
         fragments = self.repair_fragments(graph, component)
         if family is Family.REP and not active_edges:
             selected = fragments
@@ -146,35 +139,27 @@ class ComponentRepairCache:
             else:  # pragma: no cover - exhaustive enum
                 raise ValueError(f"unknown family {family!r}")
         selected = _deterministic(list(selected))
-        self._remember(self._preferred, key, selected)
+        self._preferred.put(key, selected)
         return selected
 
-    # Bookkeeping --------------------------------------------------------------
-
-    def _remember(self, store: Dict, key, value) -> None:
-        if len(store) >= self.max_entries:
-            store.pop(next(iter(store)))
-            self.evictions += 1
-            observe_cache("component_repair", "eviction")
-        store[key] = value
-
-    def clear(self) -> None:
-        self._graphs.clear()
-        self._fragments.clear()
-        self._preferred.clear()
+    # Diagnostics --------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
+        """Fragment and preferred-fragment lookups, plus store sizes."""
+        fragments = self._fragments.stats()
+        preferred = self._preferred.stats()
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
+            "hits": fragments["hits"] + preferred["hits"],
+            "misses": fragments["misses"] + preferred["misses"],
+            "evictions": fragments["evictions"] + preferred["evictions"],
             "graphs": len(self._graphs),
-            "fragment_sets": len(self._fragments),
-            "preferred_sets": len(self._preferred),
+            "fragment_sets": fragments["entries"],
+            "preferred_sets": preferred["entries"],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        stats = self.stats()
         return (
-            f"ComponentRepairCache({len(self._fragments)} fragment sets, "
-            f"{self.hits} hits / {self.misses} misses)"
+            f"ComponentRepairCache({stats['fragment_sets']} fragment sets, "
+            f"{stats['hits']} hits / {stats['misses']} misses)"
         )

@@ -112,9 +112,12 @@ def observe_cache(
 ) -> None:
     """Record a cache event: ``event`` is "hit", "miss", or "eviction".
 
-    ``cache`` names the family: "answer" (broker result cache),
-    "context" (evaluator contexts), or "component_repair" (incremental
-    per-component repair sets).
+    ``cache`` names the family of a :class:`~repro.cache.BoundedCache`:
+    "answer" (broker result cache), "route_report" (broker route
+    analyses), "sql_decision" / "prefsql_decision" (the SQL engines'
+    routing decisions), "context" (evaluator contexts),
+    "component_repair" (incremental per-component repair and preferred
+    fragments), or "component_graph" (their induced subgraphs).
     """
     if not registry.enabled:
         return

@@ -45,7 +45,6 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple, Union
@@ -58,6 +57,7 @@ from repro.backend.rewrite import (
     analyze_query,
     dirty_profile,
 )
+from repro.cache import BoundedCache
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
@@ -82,6 +82,9 @@ from repro.query.sql import sql_to_formula
 from repro.query.validate import check_against_schema
 from repro.relational.sqlite_io import load_database, load_schema
 
+#: The families with survivor tables (``Rep`` keeps every repair).
+_PREFERRED_FAMILIES = tuple(f for f in Family if f is not Family.REP)
+
 
 class PrefSqlCqaEngine:
     """Certain-answer engine over a prioritized SQLite database.
@@ -105,8 +108,12 @@ class PrefSqlCqaEngine:
         self._connection = sqlite3.connect(source) if self._own else source
         self.dependencies = tuple(dependencies)
         self.family = family
+        # Readers share the engine (the broker serves read-only queries
+        # concurrently); the priority state below changes only in
+        # extend_priority.
+        self._lock = threading.RLock()
         if isinstance(priority, Priority):
-            self.priority_edges: Tuple[PriorityEdge, ...] = (
+            self.priority_edges: Tuple[PriorityEdge, ...] = (  # guarded-by: _lock
                 priority.dominance_rows()
             )
         else:
@@ -124,6 +131,7 @@ class PrefSqlCqaEngine:
         # Validation happens eagerly (like CqaEngine's Priority
         # construction); only edges over profiled relations are
         # materialized — the rest cannot be pushed anyway.
+        self._edge_counts: Dict[str, int] = {}  # guarded-by: _lock
         if self.priority_edges:
             self._edge_counts = materialize_edges(
                 self._connection,
@@ -132,27 +140,22 @@ class PrefSqlCqaEngine:
                 self._profiles,
                 self.priority_edges,
             )
-        else:
-            self._edge_counts = {}
-        self._blocked: Dict[str, str] = {}
+        self._blocked: Dict[str, str] = {}  # guarded-by: _lock
         for name in self._edge_counts:
             reason = self._duplicate_rows_reason(name)
             if reason is not None:
                 self._blocked[name] = reason
         #: (relation, family) -> (survivor table, fully resolved).
-        self._survivors: Dict[Tuple[str, Family], Tuple[str, bool]] = {}
-        self._conflicts_materialized: Set[str] = set()
-        # Bounded LRU: the broker keeps one engine alive per database
-        # for the process lifetime, so an unbounded per-query decision
-        # memo would grow with client traffic.
-        self._decisions: "OrderedDict[Tuple[Formula, Optional[Tuple[str, ...]], Family], RewriteDecision]" = (
-            OrderedDict()
-        )
-        self._max_decisions = 1024
-        self._fallback_engine: Optional[CqaEngine] = None
-        # The broker serves read-only queries concurrently; survivor
-        # and decision construction is the only mutating stage.
-        self._lock = threading.RLock()
+        self._survivors: Dict[Tuple[str, Family], Tuple[str, bool]] = {}  # guarded-by: _lock
+        self._conflicts_materialized: Set[str] = set()  # guarded-by: _lock
+        self._build_survivors()
+        # Bounded: the broker keeps one engine alive per database for
+        # the lifetime of its data, while client traffic brings new
+        # query texts.
+        self._decisions: BoundedCache[
+            Tuple[Formula, Optional[Tuple[str, ...]], Family], RewriteDecision
+        ] = BoundedCache(1024, "prefsql_decision")
+        self._fallback_engine: Optional[CqaEngine] = None  # guarded-by: _lock
         #: Routing of the most recent call: ``"prefsql"``, ``"sqlite"``
         #: or ``"fallback: <reason>"``.
         self.last_route: Optional[str] = None
@@ -182,8 +185,8 @@ class PrefSqlCqaEngine:
         (acyclicity) and appended to the ``_repro_edges`` side table
         row by row — no re-derivation of the existing orientation.
         Survivor tables and cached decisions are preference-dependent,
-        so they are dropped; conflict materializations depend on the
-        data only and survive.
+        so the tables are rebuilt and the decisions dropped; conflict
+        materializations depend on the data only and survive.
         """
         extra = tuple(additional)
         if not extra:
@@ -211,7 +214,7 @@ class PrefSqlCqaEngine:
                     reason = self._duplicate_rows_reason(name)
                     if reason is not None:
                         self._blocked[name] = reason
-            self._survivors.clear()
+            self._build_survivors()
             self._decisions.clear()
             self._fallback_engine = None
 
@@ -235,33 +238,46 @@ class PrefSqlCqaEngine:
             return make_diagnostic("RA303", relation=relation).message
         return None
 
-    def _survivors_for(self, relation: str, family: Family) -> Tuple[str, bool]:
-        key = (relation, family)
-        cached = self._survivors.get(key)
-        if cached is not None:
-            return cached
-        profile = self._profiles[relation]
+    def _build_survivors(self) -> None:
+        """(Re)build the survivor tables of every prioritized relation
+        under every preferred family.
+
+        Runs at construction and in :meth:`extend_priority` only, so
+        answering a query never writes to the connection: readers
+        sharing it (the broker's mirror) see no DDL between their
+        statements.
+        """
+        with self._lock:
+            self._survivors = {}
+            names = self._edge_counts.keys() - self._blocked.keys()
+            for name in sorted(names):
+                profile = self._profiles[name]
+                if name not in self._conflicts_materialized:
+                    materialize_conflicts(self._connection, profile)
+                    self._conflicts_materialized.add(name)
+                for family in _PREFERRED_FAMILIES:
+                    self._survivors[(name, family)] = self._survivor_table(
+                        profile, family
+                    )
+
+    def _survivor_table(
+        self, profile: DirtyProfile, family: Family
+    ) -> Tuple[str, bool]:
+        """(survivor table, fully resolved) of one relation and family."""
         if family is Family.COMMON:
             # The staged Algorithm 1 fixpoint doubles as the survivor
             # computation when it fully resolves the relation: the
             # committed clean fragment *is* the unique common repair.
-            if relation not in self._conflicts_materialized:
-                materialize_conflicts(self._connection, profile)
-                self._conflicts_materialized.add(relation)
             fixpoint = iterate_winnow(self._connection, profile)
             if fixpoint.remaining == 0:
-                result = (fixpoint.committed_table, True)
-            else:
-                table = build_survivor_table(self._connection, profile, family)
-                result = (table, False)
-        else:
+                return fixpoint.committed_table, True
             table = build_survivor_table(self._connection, profile, family)
-            result = (
-                table,
-                not has_unresolved_group(self._connection, profile, table),
-            )
-        self._survivors[key] = result
-        return result
+            return table, False
+        table = build_survivor_table(self._connection, profile, family)
+        return (
+            table,
+            not has_unresolved_group(self._connection, profile, table),
+        )
 
     # Routing -----------------------------------------------------------------
 
@@ -291,63 +307,60 @@ class PrefSqlCqaEngine:
             tuple(variables) if variables is not None else None,
             family,
         )
-        with self._lock:
-            decision = self._decisions.get(key)
-            if decision is None:
-                decision = self._analyze(formula, variables, family)
-                if len(self._decisions) >= self._max_decisions:
-                    self._decisions.popitem(last=False)
-                self._decisions[key] = decision
-            else:
-                self._decisions.move_to_end(key)
+        decision = self._decisions.get(key)
+        if decision is not None:
             return decision
-
-    def _analyze(
-        self,
-        formula: Formula,
-        variables: Optional[Sequence[str]],
-        family: Family,
-    ) -> RewriteDecision:
         mentioned = relations_of(formula)
-        blocked = min(mentioned & self._blocked.keys(), default=None)
-        if blocked is not None:
-            return RewriteDecision(
-                None,
-                self._blocked[blocked],
-                diagnostics=(
-                    make_diagnostic("RA303", subject=blocked, relation=blocked),
-                ),
-            )
-        prioritized = sorted(mentioned & self._edge_counts.keys())
-        survivors: Optional[Dict[str, str]] = None
-        resolved: Set[str] = set()
-        if prioritized and family is not Family.REP:
-            survivors = {}
-            for name in prioritized:
-                table, is_resolved = self._survivors_for(name, family)
-                survivors[name] = table
-                if is_resolved:
-                    resolved.add(name)
-        decision = analyze_query(
-            formula,
-            self.schema,
-            self.dependencies,
-            variables,
-            survivors=survivors,
-            resolved=resolved,
-        )
-        if decision.pushed:
-            route = "prefsql" if prioritized else "sqlite"
-            decision = replace(decision, route=route)
+        # Decide and store under the lock, so a decision made on the
+        # old priority cannot land after extend_priority's clear.
+        with self._lock:
+            blocked = min(mentioned & self._blocked.keys(), default=None)
+            if blocked is not None:
+                decision = RewriteDecision(
+                    None,
+                    self._blocked[blocked],
+                    diagnostics=(
+                        make_diagnostic(
+                            "RA303", subject=blocked, relation=blocked
+                        ),
+                    ),
+                )
+            else:
+                prioritized = sorted(mentioned & self._edge_counts.keys())
+                survivors: Optional[Dict[str, str]] = None
+                resolved: Set[str] = set()
+                if prioritized and family is not Family.REP:
+                    survivors = {}
+                    for name in prioritized:
+                        table, is_resolved = self._survivors[(name, family)]
+                        survivors[name] = table
+                        if is_resolved:
+                            resolved.add(name)
+                decision = analyze_query(
+                    formula,
+                    self.schema,
+                    self.dependencies,
+                    variables,
+                    survivors=survivors,
+                    resolved=resolved,
+                )
+                if decision.pushed:
+                    route = "prefsql" if prioritized else "sqlite"
+                    decision = replace(decision, route=route)
+            self._decisions.put(key, decision)
         return decision
 
     def _fallback(self) -> CqaEngine:
-        if self._fallback_engine is None:
-            database = load_database(self._connection, self._relation_names)
-            self._fallback_engine = CqaEngine(
-                database, self.dependencies, self.priority_edges, self.family
-            )
-        return self._fallback_engine
+        with self._lock:
+            if self._fallback_engine is None:
+                database = load_database(
+                    self._connection, self._relation_names
+                )
+                self._fallback_engine = CqaEngine(
+                    database, self.dependencies, self.priority_edges,
+                    self.family,
+                )
+            return self._fallback_engine
 
     # Closed queries ----------------------------------------------------------
 
@@ -448,13 +461,14 @@ class PrefSqlCqaEngine:
 
     def summary(self) -> Dict[str, object]:
         """Snapshot of the engine's configuration and last routing."""
-        return {
-            "backend": "prefsql",
-            "relations": len(self.schema),
-            "dependencies": len(self.dependencies),
-            "priority_edges": len(self.priority_edges),
-            "prioritized_relations": sorted(self._edge_counts),
-            "survivor_tables": len(self._survivors),
-            "family": str(self.family),
-            "last_route": self.last_route,
-        }
+        with self._lock:
+            return {
+                "backend": "prefsql",
+                "relations": len(self.schema),
+                "dependencies": len(self.dependencies),
+                "priority_edges": len(self.priority_edges),
+                "prioritized_relations": sorted(self._edge_counts),
+                "survivor_tables": len(self._survivors),
+                "family": str(self.family),
+                "last_route": self.last_route,
+            }

@@ -52,8 +52,8 @@ from typing import (
     Tuple,
 )
 
+from repro.cache import BoundedCache
 from repro.exceptions import QueryBindingError
-from repro.obs import observe_cache
 from repro.query.ast import (
     And,
     Atom,
@@ -260,7 +260,7 @@ class EvaluationContext:
         return plan
 
 
-class ContextCache:
+class ContextCache(BoundedCache[FrozenSet[Row], EvaluationContext]):
     """Bounded, content-keyed cache of per-row-set evaluation contexts.
 
     Engines that evaluate many queries against recurring row sets (the
@@ -268,67 +268,35 @@ class ContextCache:
     re-assembled repairs of the incremental engine's re-validations)
     share contexts — and therefore indexes and plans — through one of
     these.  Keys are the frozen row sets themselves, so a repair that
-    reappears after unrelated updates hits the same entry; eviction is
-    FIFO once ``max_entries`` is reached.
+    reappears after unrelated updates hits the same entry; the least
+    recently used context is evicted once ``max_entries`` is reached.
 
     Get-or-create is thread-safe: the service broker's threaded front
-    end can look up a context while another request thread evicts, so
-    the dict mutations (including the constant-overlay bookkeeping)
-    happen under one lock.  Evaluation against a returned context is
-    not serialized — concurrent lazy index builds merely duplicate
-    work, they never corrupt results.
+    end can look up a context while another request thread evicts.
+    Racing misses of one row set may both build a context (the later
+    one is kept); the constant-overlay bookkeeping of a shared context
+    is serialized on ``_overlay_lock``.  Evaluation against a returned
+    context is not serialized — concurrent lazy index builds merely
+    duplicate work, they never corrupt results.
     """
 
-    __slots__ = (
-        "naive", "max_entries", "_contexts", "_lock",
-        "hits", "misses", "evictions",
-    )
+    __slots__ = ("naive", "_overlay_lock")
 
     def __init__(self, max_entries: int = 1024, naive: bool = False) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
+        super().__init__(max_entries, "context")
         self.naive = naive
-        self.max_entries = max_entries
-        self._contexts: Dict[FrozenSet[Row], EvaluationContext] = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.evictions = 0  # guarded-by: _lock
-
-    def __len__(self) -> int:
-        # Size probe for tests and diagnostics; len() of a dict is
-        # atomic under the GIL and staleness is harmless.
-        return len(self._contexts)  # lint: unguarded-ok
+        self._overlay_lock = threading.Lock()
 
     def context_for(
         self, rows: FrozenSet[Row], constants: FrozenSet[Value] = frozenset()
     ) -> EvaluationContext:
         """The shared context for ``rows``, overlaid with ``constants``."""
-        with self._lock:
-            base = self._contexts.get(rows)
-            if base is None:
-                self.misses += 1
-                observe_cache("context", "miss")
-                if len(self._contexts) >= self.max_entries:
-                    self._contexts.pop(next(iter(self._contexts)))
-                    self.evictions += 1
-                    observe_cache("context", "eviction")
-                base = EvaluationContext(rows, naive=self.naive)
-                self._contexts[rows] = base
-            else:
-                self.hits += 1
-                observe_cache("context", "hit")
+        base = self.get(rows)
+        if base is None:
+            base = EvaluationContext(rows, naive=self.naive)
+            self.put(rows, base)
+        with self._overlay_lock:
             return base.with_constants(constants)
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot, shaped like the other cache families'."""
-        with self._lock:
-            return {
-                "entries": len(self._contexts),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
 
 
 def _resolve(term, binding: Binding) -> Value:

@@ -26,15 +26,16 @@ rewritability analysis behind :attr:`SqlCqaEngine.last_route`:
 Cache keys embed the instance's *component fingerprint* — the frozenset
 of conflict-graph component vertex sets — plus the *priority
 fingerprint* (the frozenset of active oriented edges), so an entry can
-only ever hit the exact prioritized state it was computed on; engine
-updates additionally invalidate component-wise: every cached answer
-that depended on a touched component is evicted eagerly (untouched
-components keep their entries alive for states that revisit them).
+only ever hit the exact prioritized state it was computed on.  Updates
+therefore invalidate nothing explicitly: entries of outdated states are
+no longer looked up and age out under the cache's LRU bound, while a
+state that returns (an insert undone by a delete) hits its old entries
+again.
 
 Concurrency: each database carries a :class:`~repro.service.rwlock.
 ReadWriteLock` — updates are exclusive, read-only queries of one
 database run concurrently.  The pushed (SQLite) routes overlap fully;
-the in-memory engines keep their single-threaded caches behind a
+the in-memory engines keep their single-threaded state behind a
 per-database compute mutex.  ``stats()`` reports ``concurrent_reads``,
 the number of read sections that overlapped another reader.
 """
@@ -45,7 +46,6 @@ import contextlib
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -61,14 +61,15 @@ from typing import (
 from repro.analysis import RouteReport
 from repro.analysis import analyze as analyze_routes
 from repro.backend.mirror import SqliteMirror
+from repro.cache import BoundedCache
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers
 from repro.exceptions import AdmissionError, QueryError
 from repro.incremental.engine import IncrementalCqaEngine
-from repro.obs import RECORDER, REGISTRY, observe_cache
+from repro.obs import RECORDER, REGISTRY
 from repro.priorities.priority import PriorityEdge
-from repro.query.ast import Formula, relations_of
+from repro.query.ast import Formula
 from repro.relational.rows import Row
 from repro.service.rwlock import ReadWriteLock
 
@@ -136,91 +137,21 @@ class _CacheSlot:
     outcome: Outcome
     engine: str
     route: str
-    components: FrozenSet[Component]
 
 
-class AnswerCache:
+class AnswerCache(BoundedCache[Tuple, _CacheSlot]):
     """Bounded, content-keyed, thread-safe memo of broker answers.
 
-    Keys embed the full component fingerprint of the instance state, so
-    a lookup can only hit an answer computed on bit-identical data.
-    ``invalidate_components`` evicts every entry (of one database) that
-    recorded a component intersecting the touched rows — the entries an
-    update actually outdated — while entries resting on untouched
-    components survive for instance states that return.
+    Keys embed the full component and priority fingerprints of the
+    instance state, so a lookup can only hit an answer computed on
+    bit-identical data; entries of outdated states age out under the
+    LRU bound.
     """
 
+    __slots__ = ()
+
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, _CacheSlot]" = OrderedDict()  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.evicted = 0  # guarded-by: _lock
-
-    def __len__(self) -> int:
-        # Size probe; atomic under the GIL, staleness is harmless.
-        return len(self._entries)  # lint: unguarded-ok
-
-    def get(self, key: Tuple) -> Optional[_CacheSlot]:
-        with self._lock:
-            slot = self._entries.get(key)
-            if slot is None:
-                self.misses += 1
-                observe_cache("answer", "miss")
-            else:
-                self.hits += 1
-                observe_cache("answer", "hit")
-            return slot
-
-    def put(self, key: Tuple, slot: _CacheSlot) -> None:
-        with self._lock:
-            if key not in self._entries and len(self._entries) >= self.max_entries:
-                self._entries.popitem(last=False)
-                self.evicted += 1
-                observe_cache("answer", "eviction")
-            self._entries[key] = slot
-
-    def invalidate_components(
-        self, database: str, touched: Iterable[Row]
-    ) -> int:
-        """Evict entries of ``database`` depending on any touched row."""
-        touched = frozenset(touched)
-        if not touched:
-            return 0
-        with self._lock:
-            stale = [
-                key
-                for key, slot in self._entries.items()
-                if key[0] == database
-                and any(component & touched for component in slot.components)
-            ]
-            for key in stale:
-                del self._entries[key]
-            self.evicted += len(stale)
-            observe_cache("answer", "eviction", len(stale))
-            return len(stale)
-
-    def invalidate_database(self, database: str) -> int:
-        """Evict every entry of one database (priority re-declarations)."""
-        with self._lock:
-            stale = [key for key in self._entries if key[0] == database]
-            for key in stale:
-                del self._entries[key]
-            self.evicted += len(stale)
-            observe_cache("answer", "eviction", len(stale))
-            return len(stale)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evicted": self.evicted,
-            }
+        super().__init__(max_entries, "answer")
 
 
 class AdmissionController:
@@ -330,8 +261,8 @@ class _Entry:
 
     ``rw`` admits concurrent read-only queries and exclusive updates.
     Inside a read section, ``compute_lock`` serializes access to the
-    in-memory incremental engine (its component-repair and witness
-    caches are built for single-threaded use) and ``mirror_lock``
+    in-memory incremental engine (its witness index and dynamic
+    conflict graph are built for single-threaded use) and ``mirror_lock``
     serializes mirror refreshes and pushdown-engine construction; the
     pushed SQL statements themselves run concurrently when the linked
     SQLite is in serialized threading mode (``sqlite3.threadsafety ==
@@ -380,11 +311,9 @@ class RequestBroker:
         # priority edges, which key them), so one analysis serves every
         # request of the same (database, query, columns, priority
         # state) — route decisions stop costing per-request work.
-        self._route_reports: "OrderedDict[Tuple, RouteReport]" = OrderedDict()  # guarded-by: _route_report_lock
-        self._route_report_lock = threading.Lock()
-        self._max_route_reports = 1024
-        self.route_report_hits = 0  # guarded-by: _route_report_lock
-        self.route_report_misses = 0  # guarded-by: _route_report_lock
+        self._route_reports: BoundedCache[Tuple, RouteReport] = BoundedCache(
+            1024, "route_report"
+        )
         #: Worker count forwarded to the engines' enumeration paths
         #: (``None`` = serial, ``0`` = hardware width).
         self.parallel = parallel
@@ -449,7 +378,7 @@ class RequestBroker:
 
     # Updates ------------------------------------------------------------------
 
-    def _after_update(self, entry: _Entry, delta) -> None:
+    def _after_update(self, entry: _Entry) -> None:
         entry.updates += 1
         entry.fingerprint = None
         # Conflicts appearing or vanishing can (de)activate declared
@@ -457,37 +386,33 @@ class RequestBroker:
         entry.priority_fingerprint = None
         if entry.mirror is not None:
             entry.mirror.mark_dirty()
-        touched = set(delta.added_vertices) | set(delta.removed_vertices)
-        for component in delta.touched_components:
-            touched |= component
-        self.cache.invalidate_components(entry.name, touched)
 
     def insert(self, row: Row, database: Optional[str] = None):
-        """Insert a tuple; invalidates dependent cached answers."""
+        """Insert a tuple; later lookups key on the new state."""
         entry = self._entry(database)
         with entry.rw.write():
             delta = entry.engine.insert(row)
-            self._after_update(entry, delta)
+            self._after_update(entry)
         return delta
 
     def delete(self, row: Row, database: Optional[str] = None):
-        """Delete a tuple; invalidates dependent cached answers."""
+        """Delete a tuple; later lookups key on the new state."""
         entry = self._entry(database)
         with entry.rw.write():
             delta = entry.engine.delete(row)
-            self._after_update(entry, delta)
+            self._after_update(entry)
         return delta
 
     def prefer(
         self, winner: Row, loser: Row, database: Optional[str] = None
     ) -> None:
-        """Declare a priority edge (conservatively drops the db's cache)."""
+        """Declare a priority edge; later lookups key on the new
+        active-priority state."""
         entry = self._entry(database)
         with entry.rw.write():
             entry.engine.prefer(winner, loser)
             entry.updates += 1
             entry.priority_fingerprint = None
-            self.cache.invalidate_database(entry.name)
 
     # Serving ------------------------------------------------------------------
 
@@ -532,31 +457,26 @@ class RequestBroker:
         predicted here — the prefsql engine's own probe stays
         authoritative for it."""
         key = (entry.name, formula, variables, active)
-        with self._route_report_lock:
-            report = self._route_reports.get(key)
-            if report is not None:
-                self._route_reports.move_to_end(key)
-                self.route_report_hits += 1
-                observe_cache("route_report", "hit")
-                return report
-            self.route_report_misses += 1
-            observe_cache("route_report", "miss")
-        report = analyze_routes(
-            entry.engine.schema,
-            entry.engine.dependencies,
-            formula,
-            variables,
-            priority=tuple(active),
-            naive=entry.engine.naive,
-        )
-        with self._route_report_lock:
-            if (
-                key not in self._route_reports
-                and len(self._route_reports) >= self._max_route_reports
-            ):
-                self._route_reports.popitem(last=False)
-            self._route_reports[key] = report
+        report = self._route_reports.get(key)
+        if report is None:
+            report = analyze_routes(
+                entry.engine.schema,
+                entry.engine.dependencies,
+                formula,
+                variables,
+                priority=tuple(active),
+                naive=entry.engine.naive,
+            )
+            self._route_reports.put(key, report)
         return report
+
+    @property
+    def route_report_hits(self) -> int:
+        return self._route_reports.stats()["hits"]
+
+    @property
+    def route_report_misses(self) -> int:
+        return self._route_reports.stats()["misses"]
 
     def _execute(
         self,
@@ -603,10 +523,11 @@ class RequestBroker:
                     )
                 engine_label = "sqlite"
             if pushed_engine is not None:
-                # explain() may build survivor temp tables, so on
-                # SQLite builds without serialized threading the whole
-                # pushed section (not just the final SELECTs) must hold
-                # the mirror lock.
+                # The pushed section only reads: every side and survivor
+                # table was built under mirror_lock above.  On SQLite
+                # builds without serialized threading even concurrent
+                # reads of one connection must serialize, on the mirror
+                # lock.
                 guard = (
                     contextlib.nullcontext()
                     if _SQLITE_SERIALIZED
@@ -735,20 +656,7 @@ class RequestBroker:
                         engine=engine_label, route=route, family=str(family)
                     )
                 in_flight[key] = (outcome, engine_label, route)
-                # Dependencies drive eviction only (lookups are content
-                # keyed), so they can be narrowed to the components of
-                # the relations the query mentions: an update confined
-                # to other relations leaves this entry alive for
-                # instance states that return.
-                mentioned = relations_of(formula)
-                depends_on = frozenset(
-                    component
-                    for component in fingerprint
-                    if any(row.relation in mentioned for row in component)
-                )
-                self.cache.put(
-                    key, _CacheSlot(outcome, engine_label, route, depends_on)
-                )
+                self.cache.put(key, _CacheSlot(outcome, engine_label, route))
                 results[position] = BrokerResult(
                     request, outcome, entry.name, engine_label, route,
                     seconds=time.perf_counter() - started,
@@ -812,14 +720,8 @@ class RequestBroker:
         context and component-repair families aggregate across every
         registered database's engine.
         """
-        answer = self.cache.stats()
         families: Dict[str, Dict[str, int]] = {
-            "answer": {
-                "entries": answer["entries"],
-                "hits": answer["hits"],
-                "misses": answer["misses"],
-                "evictions": answer["evicted"],
-            },
+            "answer": self.cache.stats(),
             "context": {"entries": 0, "hits": 0, "misses": 0, "evictions": 0},
             "component_repair": {
                 "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
@@ -856,13 +758,7 @@ class RequestBroker:
             },
             "batches": self.batches,
             "deduplicated": self.deduplicated,
-            "route_reports": {
-                # Stats snapshot: counter reads are atomic under the
-                # GIL and a slightly stale triple is acceptable.
-                "entries": len(self._route_reports),  # lint: unguarded-ok
-                "hits": self.route_report_hits,  # lint: unguarded-ok
-                "misses": self.route_report_misses,  # lint: unguarded-ok
-            },
+            "route_reports": self._route_reports.stats(),
             "concurrent_reads": sum(
                 entry.rw.concurrent_reads for entry in self._entries.values()
             ),

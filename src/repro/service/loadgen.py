@@ -17,8 +17,8 @@ cell.  This is sound even with writes in the mix because workload churn
 entries are *insert-then-delete of a unique row* in a relation the
 queries never mention: the answers are provably independent of how the
 churn interleaves, while the writes still exercise the real exclusive
-write path (per-database write lock, fingerprint recomputation, cache
-invalidation bookkeeping).
+write path (per-database write lock, fingerprint recomputation, mirror
+invalidation).
 
 **Two loop disciplines** (``mode``):
 

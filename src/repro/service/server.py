@@ -54,6 +54,10 @@ FAMILY_CODES: Dict[str, Family] = {
 }
 
 
+#: Largest accepted POST body; larger ones get a 413 unread.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
 def _sorted_answers(tuples) -> List[Tuple]:
     """Deterministic listing order for mixed name/number answer tuples."""
 
@@ -355,6 +359,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(encoded)
 
+    def _reject(self, status: int, error: str) -> None:
+        """Answer without reading the body, then drop the connection
+        (the unread body would otherwise be parsed as the next
+        request)."""
+        self.close_connection = True
+        self._send(status, {"error": error})
+
     def _send_text(self, status: int, text: str) -> None:
         encoded = text.encode("utf-8")
         self.send_response(status)
@@ -410,7 +421,18 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path not in ("/query", "/update", "/analyze"):
             self._send(404, {"error": f"unknown path {self.path!r}"})
             return
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reject(400, "Content-Length must be a non-negative integer")
+            return
+        if length > MAX_BODY_BYTES:
+            self._reject(
+                413, f"request body over the {MAX_BODY_BYTES}-byte limit"
+            )
+            return
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw or b"{}")

@@ -107,6 +107,12 @@ class TestPushdown:
                 == reference.certain_answers("EXISTS b . R(x, y, b)").certain
             )
 
+    def test_decision_cache_is_bounded(self, db_path):
+        with SqlCqaEngine(db_path, FDS) as engine:
+            for value in range(1100):
+                assert engine.explain(f"EXISTS b . R(k, {value}, b)").pushed
+            assert len(engine._decision_cache) == 1024
+
     def test_summary_reports_route(self, db_path):
         with SqlCqaEngine(db_path, FDS) as engine:
             engine.certain_answers("EXISTS b . R(x, y, b)")

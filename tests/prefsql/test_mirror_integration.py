@@ -53,6 +53,44 @@ class TestRefreshHooks:
             assert second is not first  # rowids were reassigned
 
 
+class TestReadOnlyServing:
+    """Readers share the mirror connection, so once ``pref_engine_for``
+    has returned, answering must not write to it: DDL between another
+    reader's statements is what made concurrent reads fail."""
+
+    WRITES = ("CREATE", "DROP", "INSERT", "DELETE", "UPDATE")
+
+    def _writes_while_answering(self, mirror, engine):
+        statements = []
+        mirror._connection.set_trace_callback(statements.append)
+        try:
+            for family in Family:
+                open_query = "EXISTS b . R(x, y, b)"
+                closed_query = "EXISTS b . R('k0', 1, b)"
+                assert engine.explain(open_query, family=family).pushed
+                assert engine.explain(closed_query, (), family=family).pushed
+                assert engine.certain_answers(open_query, family=family).route
+                assert engine.answer(closed_query, family).route
+        finally:
+            mirror._connection.set_trace_callback(None)
+        return [
+            statement
+            for statement in statements
+            if statement.lstrip().upper().startswith(self.WRITES)
+        ]
+
+    def test_no_writes_after_construction(self):
+        with SqliteMirror(FDS) as mirror:
+            engine = mirror.pref_engine_for(_database(), [EDGE_A])
+            assert self._writes_while_answering(mirror, engine) == []
+
+    def test_no_writes_after_extension(self):
+        with SqliteMirror(FDS) as mirror:
+            mirror.pref_engine_for(_database(), [EDGE_A])
+            engine = mirror.pref_engine_for(_database(), [EDGE_A, EDGE_B])
+            assert self._writes_while_answering(mirror, engine) == []
+
+
 class TestIncrementalEdges:
     def test_growing_priority_reuses_the_engine(self):
         with SqliteMirror(FDS) as mirror:

@@ -253,29 +253,11 @@ class TestAnswerCache:
     def test_bounded_fifo_eviction(self):
         cache = AnswerCache(max_entries=2)
         for index in range(3):
-            cache.put(
-                ("db", index), _CacheSlot(None, "e", "r", frozenset())
-            )
+            cache.put(("db", index), _CacheSlot(None, "e", "r"))
         assert len(cache) == 2
         assert cache.get(("db", 0)) is None
         assert cache.get(("db", 2)) is not None
-        assert cache.evicted == 1
-
-    def test_invalidate_components_is_selective(self):
-        row_a = Row(GRID_SCHEMA, [1, 1])
-        row_b = Row(GRID_SCHEMA, [2, 2])
-        cache = AnswerCache()
-        cache.put(
-            ("db", "qa"),
-            _CacheSlot(None, "e", "r", frozenset([frozenset([row_a])])),
-        )
-        cache.put(
-            ("db", "qb"),
-            _CacheSlot(None, "e", "r", frozenset([frozenset([row_b])])),
-        )
-        assert cache.invalidate_components("db", [row_a]) == 1
-        assert cache.get(("db", "qa")) is None
-        assert cache.get(("db", "qb")) is not None
+        assert cache.evictions == 1
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -283,64 +265,6 @@ class TestAnswerCache:
 
 
 class TestThreadSafety:
-    """The satellite's two-thread stress: get-or-create races eviction."""
-
-    def test_answer_cache_two_thread_stress(self):
-        cache = AnswerCache(max_entries=8)
-        errors = []
-
-        def hammer(worker: int) -> None:
-            try:
-                for step in range(600):
-                    key = ("db", (worker + step) % 24)
-                    slot = cache.get(key)
-                    if slot is None:
-                        cache.put(
-                            key, _CacheSlot(None, "e", "r", frozenset())
-                        )
-                    cache.invalidate_components("db", [])
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(worker,)) for worker in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(cache) <= 8
-
-    def test_context_cache_two_thread_stress(self):
-        from repro.query.evaluator import ContextCache
-
-        instance = grid_instance(3, 2)
-        row_sets = [
-            frozenset(list(instance.rows)[: size + 1]) for size in range(5)
-        ]
-        cache = ContextCache(max_entries=2)
-        errors = []
-
-        def hammer(worker: int) -> None:
-            try:
-                for step in range(600):
-                    rows = row_sets[(worker + step) % len(row_sets)]
-                    context = cache.context_for(rows, frozenset({step % 3}))
-                    assert context.relations is not None
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(worker,)) for worker in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(cache) <= 2
-
     def test_concurrent_broker_submissions(self):
         with _grid_broker() as broker:
             errors = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import threading
@@ -10,8 +11,10 @@ import urllib.request
 import pytest
 
 from repro.datagen.generators import GRID_FDS, grid_instance
+from repro.service import server as server_module
 from repro.service.broker import RequestBroker
 from repro.service.server import (
+    MAX_BODY_BYTES,
     ServiceFrontEnd,
     make_http_server,
     serve_stdio,
@@ -169,6 +172,41 @@ class TestHttpTransport:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    def _post_with_length(self, server, length):
+        """POST /query announcing ``length`` bytes but sending none."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest("POST", "/query")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "1.5", "-1"])
+    def test_bad_content_length_is_400(self, server, length):
+        status, body = self._post_with_length(server, length)
+        assert status == 400 and "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413(self, server):
+        status, body = self._post_with_length(
+            server, str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413 and "limit" in body["error"]
+
+    def test_body_at_the_limit_is_read(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
+        payload = {"query": "EXISTS y . R(x, y)", "pad": ""}
+        payload["pad"] = " " * (64 - len(json.dumps(payload)))
+        assert len(json.dumps(payload)) == 64
+        status, _ = self._post(server, "/query", payload)
+        assert status == 200
+        payload["pad"] += " "
+        status, _ = self._post(server, "/query", payload)
+        assert status == 413
 
     def test_unknown_paths_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -48,9 +48,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 ROOT = Path(__file__).resolve().parent.parent.parent
 
 #: The threaded modules the convention applies to (relative to repo
-#: root).  ``incremental/cache.py`` is single-threaded by design and
-#: carries no annotations — scanning it asserts exactly that.
+#: root).
 DEFAULT_FILES = (
+    "src/repro/cache.py",
     "src/repro/service/broker.py",
     "src/repro/service/loadgen.py",
     "src/repro/service/rwlock.py",
@@ -58,6 +58,7 @@ DEFAULT_FILES = (
     "src/repro/obs/recorder.py",
     "src/repro/query/evaluator.py",
     "src/repro/incremental/cache.py",
+    "src/repro/prefsql/engine.py",
 )
 
 GUARDED_BY_MARK = "guarded-by:"
