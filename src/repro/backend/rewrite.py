@@ -227,6 +227,11 @@ def survivor_condition(alias: str, table: str) -> str:
     family; the condition plugs straight into the rewriting's alias
     scopes, turning the preference-blind certification into a
     preference-aware one.
+
+    It relies on the table being keyed (``row_id INTEGER PRIMARY
+    KEY``): SQLite then plans the ``IN`` as a rowid search of the
+    survivor table (``USING ROWID SEARCH ... FOR IN-OPERATOR``) rather
+    than a scan of it per statement.
     """
     return f"{alias}.rowid IN (SELECT row_id FROM {quote_identifier(table)})"
 

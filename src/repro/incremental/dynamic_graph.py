@@ -39,7 +39,7 @@ from repro.constraints.conflict_graph import ConflictGraph
 from repro.constraints.conflicts import ConflictEdge, edge
 from repro.constraints.fd import FunctionalDependency
 from repro.exceptions import UpdateError
-from repro.relational.rows import Row, sorted_rows
+from repro.relational.rows import Row, row_sort_key
 
 #: Bucket key: (relation name, LHS projection of the row).
 _BucketKey = Tuple[str, Tuple]
@@ -290,10 +290,15 @@ class DynamicConflictGraph:
         """Opaque id of ``row``'s component (stable between mutations)."""
         return self._comp_of[row]
 
+    def component_set(self) -> FrozenSet[FrozenSet[Row]]:
+        """Current components, unordered (no sort, unlike
+        :meth:`connected_components`)."""
+        return frozenset(frozenset(members) for members in self._members.values())
+
     def connected_components(self) -> List[FrozenSet[Row]]:
         """Current components in deterministic (min-row) order."""
         frozen = [frozenset(members) for members in self._members.values()]
-        return sorted(frozen, key=lambda comp: min(comp))
+        return sorted(frozen, key=lambda comp: min(map(row_sort_key, comp)))
 
     @property
     def component_count(self) -> int:

@@ -66,11 +66,13 @@ def ensure_side_tables(connection: sqlite3.Connection) -> None:
         f"CREATE TEMP TABLE IF NOT EXISTS {SIDE_CONFLICTS} ("
         "relation TEXT NOT NULL, a INTEGER NOT NULL, b INTEGER NOT NULL)"
     )
-    # The survivor queries probe by loser; the fixpoint probes by both
-    # conflict endpoints.
+    # The survivor queries and winnow passes probe by loser; the loser
+    # index carries the winner too, so it covers those probes and the
+    # planner prefers it to the primary key's relation-only prefix.
+    # The fixpoint probes by both conflict endpoints.
     connection.execute(
         f"CREATE INDEX IF NOT EXISTS {SIDE_EDGES}_by_loser "
-        f"ON {SIDE_EDGES} (relation, loser)"
+        f"ON {SIDE_EDGES} (relation, loser, winner)"
     )
     connection.execute(
         f"CREATE INDEX IF NOT EXISTS {SIDE_CONFLICTS}_by_a "

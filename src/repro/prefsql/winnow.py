@@ -11,8 +11,8 @@ whole winnow-driven selection runs server-side:
 
 * ``ω≻`` itself is an anti-join: the rows with no incoming oriented
   edge from a surviving dominator (:func:`winnow_pass`);
-* Algorithm 1 is iterated to a fixpoint with staged
-  ``CREATE TEMP TABLE`` passes (:func:`iterate_winnow`): each stage
+* Algorithm 1 is iterated to a fixpoint with staged temp-table
+  passes (:func:`iterate_winnow`): each stage
   winnows the remaining rows, commits the winnow rows with no conflict
   inside the winnow set (their class is forced — it appears in *every*
   common repair), and removes the committed rows' conflict
@@ -35,6 +35,15 @@ whole winnow-driven selection runs server-side:
   Corollaries 1–2 and Proposition 7 specialized to the multipartite
   group structure; the differential suite pins each of them against
   the in-memory family selectors on random instances.
+
+Every intermediate ``row_id`` table (remaining, winnow-stage, commit,
+committed and survivor tables) is keyed: ``row_id INTEGER PRIMARY KEY``
+makes the row id the table's rowid.  Every probe searches by that key:
+row → edge-by-loser (or conflict-by-endpoint) index → keyed lookup of
+the edge's other endpoint in the pool table.  Each winnow stage is
+thereby linear in the edges it touches, and a served survivor
+restriction (:func:`~repro.backend.rewrite.survivor_condition`) is a
+rowid search instead of a table scan.
 """
 
 from __future__ import annotations
@@ -43,7 +52,11 @@ import sqlite3
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.backend.rewrite import DirtyProfile, conjoin as _conjoin
+from repro.backend.rewrite import (
+    DirtyProfile,
+    conjoin as _conjoin,
+    survivor_condition,
+)
 from repro.core.families import Family
 from repro.exceptions import QueryError
 from repro.prefsql.edges import SIDE_CONFLICTS, SIDE_EDGES, text_literal
@@ -68,6 +81,28 @@ def _same_class(left: str, right: str, profile: DirtyProfile) -> str:
 
 def _drop(connection: sqlite3.Connection, table: str) -> None:
     connection.execute(f"DROP TABLE IF EXISTS {quote_identifier(table)}")
+
+
+def _create_keyed(
+    connection: sqlite3.Connection, table: str, select: Optional[str] = None
+) -> None:
+    """(Re)create ``table`` as a keyed ``row_id`` list, filled by the
+    ``select`` (which must yield each row id once) when given."""
+    _drop(connection, table)
+    connection.execute(
+        f"CREATE TEMP TABLE {quote_identifier(table)} "
+        "(row_id INTEGER PRIMARY KEY)"
+    )
+    if select is not None:
+        connection.execute(f"INSERT INTO {quote_identifier(table)} {select}")
+
+
+def _listed(table: str, alias: str, column: str) -> str:
+    """``column`` is a row id listed in ``table`` (a keyed lookup)."""
+    return (
+        f"EXISTS (SELECT 1 FROM {quote_identifier(table)} {alias} "
+        f"WHERE {alias}.row_id = {column})"
+    )
 
 
 def _count(connection: sqlite3.Connection, table: str) -> int:
@@ -101,27 +136,28 @@ def winnow_pass(
     """ω≻ as one SQL anti-join, materialized into a temp table.
 
     ``source`` names a temp table of ``row_id`` values (the remaining
-    set); ``None`` winnows the whole relation.  Returns the name of the
+    set), keyed so that each dominator probe is a lookup; ``None``
+    winnows the whole relation.  Returns the name of the
     created table (``target`` or a derived default) holding the
     undominated rows' ``row_id``.
     """
     tag = text_literal(profile.relation)
     table = target or f"_repro_winnow_{profile.relation}"
-    _drop(connection, table)
     if source is None:
-        connection.execute(
-            f"CREATE TEMP TABLE {quote_identifier(table)} AS "
-            f"SELECT r.rowid AS row_id FROM "
-            f"{quote_identifier(profile.relation)} r "
-            f"WHERE {_undominated(profile, 'r')}"
+        _create_keyed(
+            connection,
+            table,
+            f"SELECT r.rowid FROM {quote_identifier(profile.relation)} r "
+            f"WHERE {_undominated(profile, 'r')}",
         )
     else:
-        connection.execute(
-            f"CREATE TEMP TABLE {quote_identifier(table)} AS "
+        _create_keyed(
+            connection,
+            table,
             f"SELECT m.row_id FROM {quote_identifier(source)} m "
             f"WHERE NOT EXISTS (SELECT 1 FROM {SIDE_EDGES} e "
             f"WHERE e.relation = {tag} AND e.loser = m.row_id AND "
-            f"e.winner IN (SELECT row_id FROM {quote_identifier(source)}))"
+            f"{_listed(source, 's', 'e.winner')})",
         )
     return table
 
@@ -129,14 +165,19 @@ def winnow_pass(
 def _conflict_partner_in(
     profile: DirtyProfile, alias: str, pool: str
 ) -> str:
-    """``alias.row_id`` has a conflict partner inside the ``pool`` table."""
+    """``alias.row_id`` has a conflict partner inside the ``pool`` table.
+
+    One ``EXISTS`` per endpoint, so each probe runs on its own
+    conflict index and looks the partner up by the pool's key.
+    """
     tag = text_literal(profile.relation)
-    pool_sql = f"SELECT row_id FROM {quote_identifier(pool)}"
     return (
-        f"EXISTS (SELECT 1 FROM {SIDE_CONFLICTS} k "
-        f"WHERE k.relation = {tag} AND ("
-        f"(k.a = {alias}.row_id AND k.b IN ({pool_sql})) OR "
-        f"(k.b = {alias}.row_id AND k.a IN ({pool_sql}))))"
+        f"(EXISTS (SELECT 1 FROM {SIDE_CONFLICTS} k "
+        f"WHERE k.relation = {tag} AND k.a = {alias}.row_id "
+        f"AND {_listed(pool, 'p', 'k.b')}) "
+        f"OR EXISTS (SELECT 1 FROM {SIDE_CONFLICTS} k "
+        f"WHERE k.relation = {tag} AND k.b = {alias}.row_id "
+        f"AND {_listed(pool, 'p', 'k.a')}))"
     )
 
 
@@ -173,16 +214,10 @@ def iterate_winnow(
     """
     base = profile.relation
     committed_table = f"_repro_clean_{base}"
-    _drop(connection, committed_table)
-    connection.execute(
-        f"CREATE TEMP TABLE {quote_identifier(committed_table)} "
-        "(row_id INTEGER PRIMARY KEY)"
-    )
+    _create_keyed(connection, committed_table)
     remaining_table = f"_repro_remaining_{base}_0"
-    _drop(connection, remaining_table)
-    connection.execute(
-        f"CREATE TEMP TABLE {quote_identifier(remaining_table)} AS "
-        f"SELECT rowid AS row_id FROM {quote_identifier(base)}"
+    _create_keyed(
+        connection, remaining_table, f"SELECT rowid FROM {quote_identifier(base)}"
     )
     stage_tables: List[str] = []
     stage = 0
@@ -197,11 +232,11 @@ def iterate_winnow(
         # Step 3's unambiguous choices: winnow rows with no conflict
         # inside the winnow set — their whole class is forced.
         commit_table = f"_repro_commit_{base}_{stage}"
-        _drop(connection, commit_table)
-        connection.execute(
-            f"CREATE TEMP TABLE {quote_identifier(commit_table)} AS "
+        _create_keyed(
+            connection,
+            commit_table,
             f"SELECT w.row_id FROM {quote_identifier(winnow_table)} w "
-            f"WHERE NOT {_conflict_partner_in(profile, 'w', winnow_table)}"
+            f"WHERE NOT {_conflict_partner_in(profile, 'w', winnow_table)}",
         )
         if _count(connection, commit_table) == 0:
             break
@@ -211,13 +246,12 @@ def iterate_winnow(
         )
         # r ← r ∖ ({x} ∪ n(x)) for every committed x.
         next_table = f"_repro_remaining_{base}_{stage + 1}"
-        _drop(connection, next_table)
-        connection.execute(
-            f"CREATE TEMP TABLE {quote_identifier(next_table)} AS "
+        _create_keyed(
+            connection,
+            next_table,
             f"SELECT m.row_id FROM {quote_identifier(remaining_table)} m "
-            f"WHERE m.row_id NOT IN "
-            f"(SELECT row_id FROM {quote_identifier(commit_table)}) "
-            f"AND NOT {_conflict_partner_in(profile, 'm', commit_table)}"
+            f"WHERE NOT {_listed(commit_table, 'c', 'm.row_id')} "
+            f"AND NOT {_conflict_partner_in(profile, 'm', commit_table)}",
         )
         remaining_table = next_table
         stage += 1
@@ -307,11 +341,7 @@ def build_survivor_table(
     preference-blind plan.
     """
     table = survivor_table_name(profile.relation, family)
-    _drop(connection, table)
-    connection.execute(
-        f"CREATE TEMP TABLE {quote_identifier(table)} AS "
-        + _survivor_select(profile, family)
-    )
+    _create_keyed(connection, table, _survivor_select(profile, family))
     return table
 
 
@@ -333,8 +363,7 @@ def has_unresolved_group(
     classes = (
         f"SELECT DISTINCT {columns} FROM "
         f"{quote_identifier(profile.relation)} r "
-        f"WHERE r.rowid IN "
-        f"(SELECT row_id FROM {quote_identifier(survivor_table)})"
+        f"WHERE {survivor_condition('r', survivor_table)}"
     )
     if profile.group:
         group_columns = ", ".join(

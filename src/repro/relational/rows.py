@@ -77,10 +77,7 @@ class Row:
         """Deterministic (arbitrary) order used for stable output listings."""
         if not isinstance(other, Row):
             return NotImplemented
-        return (self.relation, _sort_key(self.values)) < (
-            other.relation,
-            _sort_key(other.values),
-        )
+        return row_sort_key(self) < row_sort_key(other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -98,6 +95,12 @@ def _sort_key(values: Sequence[Value]) -> Tuple[Tuple[int, str], ...]:
     )
 
 
+def row_sort_key(row: Row) -> Tuple[str, Tuple[Tuple[int, str], ...]]:
+    """The key of the deterministic row order (``Row.__lt__``); sorting
+    with it builds each key once instead of twice per comparison."""
+    return (row.relation, _sort_key(row.values))
+
+
 def sorted_rows(rows) -> list:
     """Rows in the deterministic listing order used across the library."""
-    return sorted(rows)
+    return sorted(rows, key=row_sort_key)

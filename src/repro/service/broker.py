@@ -284,7 +284,7 @@ class _Entry:
     queries: int = 0
     updates: int = 0
     #: Cached component fingerprint of the current instance state;
-    #: recomputing it per request would cost O(V log V) on the hot path.
+    #: recomputing it per request would cost O(V) on the hot path.
     fingerprint: Optional[FrozenSet[Component]] = None
     #: Cached frozenset of active priority edges (part of cache keys).
     priority_fingerprint: Optional[FrozenSet[PriorityEdge]] = None
@@ -431,9 +431,7 @@ class RequestBroker:
 
     def _fingerprint(self, entry: _Entry) -> FrozenSet[Component]:
         if entry.fingerprint is None:
-            entry.fingerprint = frozenset(
-                entry.engine.graph.connected_components()
-            )
+            entry.fingerprint = entry.engine.graph.component_set()
         return entry.fingerprint
 
     def _priority_fingerprint(self, entry: _Entry) -> FrozenSet[PriorityEdge]:
