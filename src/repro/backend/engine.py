@@ -45,9 +45,8 @@ from repro.exceptions import QueryError
 from repro.obs import annotate, observe_query
 from repro.obs import span as obs_span
 from repro.query.ast import Formula
-from repro.query.parser import parse_query
 from repro.query.sql import sql_to_formula
-from repro.query.validate import check_against_schema
+from repro.query.validate import parse_checked
 from repro.relational.sqlite_io import load_database, load_schema
 
 # The catalogued diagnostic renders the historical reason string
@@ -110,9 +109,7 @@ class SqlCqaEngine:
     # Routing -----------------------------------------------------------------
 
     def _to_formula(self, query: Union[str, Formula]) -> Formula:
-        with obs_span("parse"):
-            formula = parse_query(query) if isinstance(query, str) else query
-            return check_against_schema(formula, self.schema)
+        return parse_checked(query, self.schema)
 
     def explain(
         self,
@@ -179,12 +176,7 @@ class SqlCqaEngine:
         annotate(route="sqlite")
         with obs_span("sql-execute"):
             result = decision.plan.run(self._connection)
-        if result.certain:
-            verdict = Verdict.TRUE  # true in every repair
-        elif result.possible:
-            verdict = Verdict.UNDETERMINED  # true in some, false in some
-        else:
-            verdict = Verdict.FALSE  # true in no repair
+        verdict = Verdict.of(bool(result.certain), bool(result.possible))
         observe_query(
             "sql", "sqlite", str(family), time.perf_counter() - started
         )

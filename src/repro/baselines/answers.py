@@ -14,14 +14,13 @@ certain/possible split over the alternatives mirrors
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from repro.core.families import Family
-from repro.cqa.answers import OpenAnswers
+from repro.cqa.answers import OpenAnswers, fold_open
 from repro.exceptions import QueryError
-from repro.query.ast import Formula, constants_of
+from repro.query.ast import Formula
 from repro.query.evaluator import ContextCache
-from repro.query.evaluator import answers as evaluate_answers
 from repro.query.parser import parse_query
 from repro.relational.rows import Row
 
@@ -50,55 +49,34 @@ def baseline_answers(
     to the serial loop.
     """
     formula = parse_query(query) if isinstance(query, str) else query
-    if variables is None:
-        variables = tuple(sorted(formula.free_variables()))
-    from repro.service.parallel import resolve_workers
+    variables = tuple(
+        sorted(formula.free_variables()) if variables is None else variables
+    )
+    from repro.service.parallel import (
+        plan_from_fragments,
+        resolve_workers,
+        run_open,
+    )
 
+    alternatives = (frozenset(alternative) for alternative in alternatives)
     workers = resolve_workers(parallel)
     if workers is not None:
-        from repro.service.parallel import plan_from_fragments, run_open
-
-        pool = [frozenset(alternative) for alternative in alternatives]
-        if not pool:
-            raise QueryError("baseline_answers() needs at least one alternative")
         # One pseudo-component whose fragments are the alternatives:
         # the product over a single list enumerates exactly the pool.
-        merged = run_open(
-            plan_from_fragments([pool]),
+        folded = run_open(
+            plan_from_fragments([list(alternatives)]),
             formula,
-            tuple(variables),
+            variables,
             workers=workers,
             naive=naive,
         )
-        return OpenAnswers(
-            Family.REP,
-            tuple(variables),
-            merged.certain,
-            merged.possible,
-            merged.considered,
-            route="naive" if naive else "indexed",
-        )
-    cache = ContextCache(naive=naive)
-    constants = constants_of(formula)
-    certain: Optional[FrozenSet[Tuple]] = None
-    possible: FrozenSet[Tuple] = frozenset()
-    considered = 0
-    for alternative in alternatives:
-        rows = frozenset(alternative)
-        considered += 1
-        context = cache.context_for(rows, constants)
-        result = evaluate_answers(formula, rows, tuple(variables), context=context)
-        certain = result if certain is None else certain & result
-        possible = possible | result
-    if considered == 0:
+    else:
+        cache = ContextCache(naive=naive)
+        folded = fold_open(alternatives, formula, variables, cache)
+    if folded.considered == 0:
         raise QueryError("baseline_answers() needs at least one alternative")
-    return OpenAnswers(
-        Family.REP,
-        tuple(variables),
-        certain if certain is not None else frozenset(),
-        possible,
-        considered,
-        route="naive" if naive else "indexed",
+    return folded.to_answers(
+        Family.REP, variables, "naive" if naive else "indexed"
     )
 
 

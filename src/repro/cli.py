@@ -31,6 +31,7 @@ from repro.constraints.conflict_graph import build_conflict_graph, render_confli
 from repro.constraints.fd import FunctionalDependency
 from repro.core.cleaning import clean
 from repro.core.families import Family, preferred_repairs
+from repro.cqa.answers import Verdict
 from repro.cqa.engine import CqaEngine
 from repro.priorities.builders import (
     priority_from_ranking,
@@ -239,11 +240,7 @@ def _format_answer_tuples(tuples) -> str:
 
 def _open_answers_verdict(result) -> str:
     """Three-valued reading of a boolean query's OpenAnswers."""
-    if result.certain:
-        return "true"
-    if result.possible:
-        return "undetermined"
-    return "false"
+    return Verdict.of(bool(result.certain), bool(result.possible)).value
 
 
 def _explain_decision(args: argparse.Namespace, engine, family) -> int:

@@ -16,7 +16,11 @@ Per-repair :class:`~repro.query.evaluator.EvaluationContext` objects
 (with their lazily-built hash indexes and join plans) are cached in a
 :class:`~repro.query.evaluator.ContextCache` and shared across every
 query of one engine's lifetime; ``naive=True`` pins the engine to the
-scan-based reference evaluator instead.
+scan-based reference evaluator instead.  Whichever repair source runs —
+the serial :meth:`CqaEngine._stream_repairs` or the sharded executor
+(``parallel=``) — its repairs go through the one Definition 3 fold in
+:mod:`repro.cqa.answers`, so both paths share counting, intersection
+and the verdict rule.
 """
 
 from __future__ import annotations
@@ -42,15 +46,20 @@ from repro.constraints.fd import FunctionalDependency
 from repro.core.cleaning import all_cleaning_results
 from repro.core.families import Family, preferred_repairs
 from repro.core.optimality import is_locally_optimal, is_semi_globally_optimal
-from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
+from repro.cqa.answers import (
+    ClosedAnswer,
+    ClosedFold,
+    OpenAnswers,
+    OpenFold,
+    fold_closed,
+    fold_open,
+)
 from repro.exceptions import QueryError
 from repro.priorities.priority import Priority, PriorityEdge
-from repro.query.ast import Formula, constants_of
-from repro.query.evaluator import ContextCache, EvaluationContext
-from repro.query.evaluator import answers as evaluate_answers
-from repro.query.evaluator import evaluate
-from repro.query.parser import parse_query
+from repro.query.ast import Formula
+from repro.query.evaluator import ContextCache
 from repro.query.sql import sql_to_formula
+from repro.query.validate import parse_checked
 from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
@@ -134,10 +143,6 @@ class CqaEngine:
             naive=self.naive,
         )
 
-    def _context_for(self, repair: Repair, constants) -> EvaluationContext:
-        """Shared per-repair context: indexes and plans live across queries."""
-        return self._contexts.context_for(repair, constants)
-
     # Repair access ----------------------------------------------------------
 
     def repairs(self, family: Optional[Family] = None) -> List[Repair]:
@@ -179,17 +184,7 @@ class CqaEngine:
     # Closed queries -----------------------------------------------------------
 
     def _to_formula(self, query: Union[str, Formula]) -> Formula:
-        from repro.query.validate import check_against_schema
-
-        with obs_span("parse"):
-            formula = parse_query(query) if isinstance(query, str) else query
-            if isinstance(self.data, Database):
-                schema = self.data.schema
-            else:
-                from repro.relational.schema import DatabaseSchema
-
-                schema = DatabaseSchema([self.data.schema])
-            return check_against_schema(formula, schema)
+        return parse_checked(query, self.database_schema)
 
     def _shard_plan(self, family: Family):
         """The sharded view of this engine's preferred-repair space."""
@@ -216,28 +211,9 @@ class CqaEngine:
                 "closed-query CQA requires a closed formula; "
                 "use certain_answers() for open queries"
             )
-        from repro.service.parallel import resolve_workers
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            from repro.service.parallel import run_closed
-
-            with obs_span("shard-fan-out", workers=workers):
-                merged = run_closed(
-                    self._shard_plan(family),
-                    formula,
-                    workers=workers,
-                    naive=self.naive,
-                    stop_on_false=True,
-                )
-            return merged.counterexample is None
-        constants = constants_of(formula)
-        with obs_span("stream-repairs", route=self._route):
-            for repair in self._stream_repairs(family):
-                context = self._context_for(repair, constants)
-                if not evaluate(formula, repair, context=context):
-                    return False
-        return True
+        return self._fold_closed(
+            formula, family, parallel, stop_on_false=True
+        ).counterexample is None
 
     def answer(
         self,
@@ -257,40 +233,9 @@ class CqaEngine:
         formula = self._to_formula(query)
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        from repro.service.parallel import resolve_workers
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            from repro.service.parallel import run_closed
-
-            with obs_span("shard-fan-out", workers=workers):
-                merged = run_closed(
-                    self._shard_plan(family),
-                    formula,
-                    workers=workers,
-                    naive=self.naive,
-                )
-            result = self._closed_answer_from_counts(
-                family, merged.considered, merged.satisfying,
-                merged.counterexample,
-            )
-        else:
-            considered = 0
-            satisfying = 0
-            counterexample: Optional[Repair] = None
-            constants = constants_of(formula)
-            with obs_span("stream-repairs", route=self._route):
-                for repair in self._stream_repairs(family):
-                    considered += 1
-                    context = self._context_for(repair, constants)
-                    if evaluate(formula, repair, context=context):
-                        satisfying += 1
-                    elif counterexample is None:
-                        counterexample = repair
-                annotate(repairs=considered)
-            result = self._closed_answer_from_counts(
-                family, considered, satisfying, counterexample
-            )
+        result = self._fold_closed(formula, family, parallel).to_answer(
+            family, self._route
+        )
         annotate(route=result.route, verdict=result.verdict.value)
         observe_query(
             "cqa", result.route or self._route, str(family),
@@ -298,26 +243,34 @@ class CqaEngine:
         )
         return result
 
-    def _closed_answer_from_counts(
+    def _fold_closed(
         self,
+        formula: Formula,
         family: Family,
-        considered: int,
-        satisfying: int,
-        counterexample: Optional[Repair],
-    ) -> ClosedAnswer:
-        if considered == 0:
-            # Cannot happen for P1-respecting families; defensive only.
-            verdict = Verdict.UNDETERMINED
-        elif satisfying == considered:
-            verdict = Verdict.TRUE
-        elif satisfying == 0:
-            verdict = Verdict.FALSE
-        else:
-            verdict = Verdict.UNDETERMINED
-        return ClosedAnswer(
-            family, verdict, considered, satisfying, counterexample,
-            route=self._route,
-        )
+        parallel: Optional[int],
+        stop_on_false: bool = False,
+    ) -> ClosedFold:
+        """Fold ``family``'s repairs, serially or sharded."""
+        from repro.service.parallel import resolve_workers, run_closed
+
+        workers = resolve_workers(parallel)
+        if workers is not None:
+            with obs_span("shard-fan-out", workers=workers):
+                return run_closed(
+                    self._shard_plan(family),
+                    formula,
+                    workers=workers,
+                    naive=self.naive,
+                    stop_on_false=stop_on_false,
+                )
+        with obs_span("stream-repairs", route=self._route):
+            folded = fold_closed(
+                self._stream_repairs(family), formula, self._contexts,
+                stop_on_false,
+            )
+            if not stop_on_false:
+                annotate(repairs=folded.considered)
+        return folded
 
     # Open queries ---------------------------------------------------------------
 
@@ -339,57 +292,43 @@ class CqaEngine:
         formula = self._to_formula(query)
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
-        from repro.service.parallel import resolve_workers
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            from repro.service.parallel import run_open
-
-            with obs_span("shard-fan-out", workers=workers):
-                merged = run_open(
-                    self._shard_plan(family),
-                    formula,
-                    tuple(variables),
-                    workers=workers,
-                    naive=self.naive,
-                )
-            answers = OpenAnswers(
-                family,
-                tuple(variables),
-                merged.certain,
-                merged.possible,
-                merged.considered,
-                route=self._route,
-            )
-        else:
-            certain: Optional[FrozenSet[Tuple]] = None
-            possible: FrozenSet[Tuple] = frozenset()
-            considered = 0
-            constants = constants_of(formula)
-            with obs_span("stream-repairs", route=self._route):
-                for repair in self._stream_repairs(family):
-                    considered += 1
-                    context = self._context_for(repair, constants)
-                    result = evaluate_answers(
-                        formula, repair, variables, context=context
-                    )
-                    certain = result if certain is None else certain & result
-                    possible = possible | result
-                annotate(repairs=considered)
-            answers = OpenAnswers(
-                family,
-                variables,
-                certain if certain is not None else frozenset(),
-                possible,
-                considered,
-                route=self._route,
-            )
+        answers = self._fold_open(
+            formula, tuple(variables), family, parallel
+        ).to_answers(family, variables, self._route)
         annotate(route=answers.route, certain=len(answers.certain))
         observe_query(
             "cqa", answers.route or self._route, str(family),
             time.perf_counter() - started,
         )
         return answers
+
+    def _fold_open(
+        self,
+        formula: Formula,
+        variables: Tuple[str, ...],
+        family: Family,
+        parallel: Optional[int],
+    ) -> OpenFold:
+        """Fold ``family``'s repairs' answer sets, serially or sharded."""
+        from repro.service.parallel import resolve_workers, run_open
+
+        workers = resolve_workers(parallel)
+        if workers is not None:
+            with obs_span("shard-fan-out", workers=workers):
+                return run_open(
+                    self._shard_plan(family),
+                    formula,
+                    variables,
+                    workers=workers,
+                    naive=self.naive,
+                )
+        with obs_span("stream-repairs", route=self._route):
+            folded = fold_open(
+                self._stream_repairs(family), formula, variables,
+                self._contexts,
+            )
+            annotate(repairs=folded.considered)
+        return folded
 
     def sql_certain_answers(
         self,

@@ -25,41 +25,43 @@ from repro.constraints.denial import (
     build_conflict_hypergraph,
 )
 from repro.core.families import Family
-from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
+from repro.cqa.answers import ClosedAnswer, OpenAnswers, fold_closed, fold_open
 from repro.exceptions import QueryError
-from repro.query.ast import Formula, constants_of
+from repro.query.ast import Formula
 from repro.query.evaluator import ContextCache
-from repro.query.evaluator import answers as evaluate_answers
-from repro.query.evaluator import evaluate
-from repro.query.parser import parse_query
+from repro.query.validate import parse_checked
 from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
+from repro.relational.schema import DatabaseSchema
 
 
 class DenialCqaEngine:
     """Consistent answers w.r.t. a set of denial constraints."""
 
+    #: Route label of every answer (repairs are evaluated one by one).
+    _route = "indexed"
+
     def __init__(
         self,
         data: Union[RelationInstance, Database, Iterable[Row]],
         constraints: Sequence[DenialConstraint],
-        naive: bool = False,
     ) -> None:
         if isinstance(data, RelationInstance):
-            rows = data.rows
-        elif isinstance(data, Database):
-            rows = data.all_rows()
+            data = Database([data])
+        if isinstance(data, Database):
+            rows, self.schema = data.all_rows(), data.schema
         else:
             rows = frozenset(data)
+            self.schema = DatabaseSchema(
+                {row.schema.name: row.schema for row in rows}.values()
+            )
         self.constraints = tuple(constraints)
         self.hypergraph: ConflictHypergraph = build_conflict_hypergraph(
             rows, self.constraints
         )
         self._repairs = None
-        self.naive = naive
-        self._route = "naive" if naive else "indexed"
-        self._contexts = ContextCache(naive=naive)
+        self._contexts = ContextCache()
 
     def repairs(self):
         """All hypergraph repairs (cached)."""
@@ -67,9 +69,8 @@ class DenialCqaEngine:
             self._repairs = self.hypergraph.maximal_independent_sets()
         return self._repairs
 
-    @staticmethod
-    def _to_formula(query: Union[str, Formula]) -> Formula:
-        return parse_query(query) if isinstance(query, str) else query
+    def _to_formula(self, query: Union[str, Formula]) -> Formula:
+        return parse_checked(query, self.schema)
 
     def answer(self, query: Union[str, Formula]) -> ClosedAnswer:
         """Three-valued consistent answer to a closed query."""
@@ -77,33 +78,14 @@ class DenialCqaEngine:
         formula = self._to_formula(query)
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        considered = 0
-        satisfying = 0
-        counterexample = None
-        constants = constants_of(formula)
         with obs_span("hypergraph-repairs", route=self._route):
-            for repair in self.repairs():
-                considered += 1
-                context = self._contexts.context_for(repair, constants)
-                if evaluate(formula, repair, context=context):
-                    satisfying += 1
-                elif counterexample is None:
-                    counterexample = repair
-            annotate(repairs=considered)
-        if considered and satisfying == considered:
-            verdict = Verdict.TRUE
-        elif satisfying == 0 and considered:
-            verdict = Verdict.FALSE
-        else:
-            verdict = Verdict.UNDETERMINED
+            folded = fold_closed(self.repairs(), formula, self._contexts)
+            annotate(repairs=folded.considered)
         observe_query(
             "denial", self._route, str(Family.REP),
             time.perf_counter() - started,
         )
-        return ClosedAnswer(
-            Family.REP, verdict, considered, satisfying, counterexample,
-            route=self._route,
-        )
+        return folded.to_answer(Family.REP, self._route)
 
     def certain_answers(
         self,
@@ -115,29 +97,13 @@ class DenialCqaEngine:
         formula = self._to_formula(query)
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
-        certain = None
-        possible = frozenset()
-        considered = 0
-        constants = constants_of(formula)
         with obs_span("hypergraph-repairs", route=self._route):
-            for repair in self.repairs():
-                considered += 1
-                context = self._contexts.context_for(repair, constants)
-                result = evaluate_answers(
-                    formula, repair, variables, context=context
-                )
-                certain = result if certain is None else certain & result
-                possible = possible | result
-            annotate(repairs=considered)
+            folded = fold_open(
+                self.repairs(), formula, variables, self._contexts
+            )
+            annotate(repairs=folded.considered)
         observe_query(
             "denial", self._route, str(Family.REP),
             time.perf_counter() - started,
         )
-        return OpenAnswers(
-            Family.REP,
-            variables,
-            certain if certain is not None else frozenset(),
-            possible,
-            considered,
-            route=self._route,
-        )
+        return folded.to_answers(Family.REP, variables, self._route)

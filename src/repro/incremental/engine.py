@@ -40,18 +40,26 @@ from typing import (
 
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
-from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
+from repro.cqa.answers import (
+    ClosedAnswer,
+    ClosedFold,
+    OpenAnswers,
+    OpenFold,
+    fold_closed,
+    fold_open,
+)
 from repro.exceptions import CyclicPriorityError, QueryError, SchemaError
 from repro.priorities.priority import Priority, PriorityEdge, digraph_has_cycle
-from repro.query.ast import Formula, constants_of
+from repro.query.ast import Formula
 from repro.query.evaluator import ContextCache
-from repro.query.evaluator import answers as evaluate_answers
-from repro.query.evaluator import evaluate
-from repro.query.parser import parse_query
+
+# Unused here, but kept as a module attribute: servebench's ledger test
+# checks that its span shims also replace this alias of the parser.
+from repro.query.parser import parse_query  # noqa: F401
 from repro.query.sql import sql_to_formula
 from repro.obs import annotate, observe_query
 from repro.obs import span as obs_span
-from repro.query.validate import check_against_schema
+from repro.query.validate import parse_checked
 from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
@@ -80,6 +88,9 @@ _digraph_has_cycle = digraph_has_cycle
 class IncrementalCqaEngine:
     """Preferred consistent query answering over a mutable instance."""
 
+    #: Route label of answers computed by evaluating per repair.
+    _route = "indexed"
+
     def __init__(
         self,
         data: Union[RelationInstance, Database, Iterable[Row], None] = None,
@@ -88,12 +99,9 @@ class IncrementalCqaEngine:
         family: Family = Family.REP,
         cache_entries: int = 4096,
         witness_indexes: int = 32,
-        naive: bool = False,
     ) -> None:
         self.dependencies = tuple(dependencies)
         self.family = family
-        self.naive = naive
-        self._route = "naive" if naive else "indexed"
         self._schemas: Dict[str, RelationSchema] = {}
         self._db_schema: Optional[DatabaseSchema] = None
         rows: List[Row] = []
@@ -112,7 +120,7 @@ class IncrementalCqaEngine:
         # Re-validations after updates reassemble the same repairs over
         # and over; contexts are content-keyed, so unchanged repairs
         # keep their indexes and plans across updates.
-        self._contexts = ContextCache(max_entries=cache_entries, naive=naive)
+        self._contexts = ContextCache(max_entries=cache_entries)
         if witness_indexes < 1:
             raise ValueError("witness_indexes must be positive")
         self._max_witness_indexes = witness_indexes
@@ -269,9 +277,62 @@ class IncrementalCqaEngine:
     # Query plumbing -----------------------------------------------------------
 
     def _to_formula(self, query: Union[str, Formula]) -> Formula:
-        with obs_span("parse"):
-            formula = parse_query(query) if isinstance(query, str) else query
-            return check_against_schema(formula, self.schema)
+        return parse_checked(query, self.schema)
+
+    def _fold_closed(
+        self,
+        formula: Formula,
+        fragments: List[List[Repair]],
+        parallel: Optional[int] = None,
+        stop_on_false: bool = False,
+    ) -> ClosedFold:
+        """Evaluate per repair (the enumeration fallback), serially or
+        sharded across a process pool."""
+        from repro.service.parallel import (
+            plan_from_fragments,
+            resolve_workers,
+            run_closed,
+        )
+
+        workers = resolve_workers(parallel)
+        if workers is not None:
+            return run_closed(
+                plan_from_fragments(fragments),
+                formula,
+                workers=workers,
+                stop_on_false=stop_on_false,
+            )
+        return fold_closed(
+            self._iterate_repairs(fragments), formula, self._contexts,
+            stop_on_false,
+        )
+
+    def _fold_open(
+        self,
+        formula: Formula,
+        variables: Tuple[str, ...],
+        fragments: List[List[Repair]],
+        parallel: Optional[int] = None,
+    ) -> OpenFold:
+        """Open-query counterpart of :meth:`_fold_closed`."""
+        from repro.service.parallel import (
+            plan_from_fragments,
+            resolve_workers,
+            run_open,
+        )
+
+        workers = resolve_workers(parallel)
+        if workers is not None:
+            return run_open(
+                plan_from_fragments(fragments),
+                formula,
+                variables,
+                workers=workers,
+            )
+        return fold_open(
+            self._iterate_repairs(fragments), formula, variables,
+            self._contexts,
+        )
 
     def _witness_index(
         self, formula: Formula, variables: Tuple[str, ...]
@@ -464,32 +525,23 @@ class IncrementalCqaEngine:
             total *= len(options)
         if total == 0:
             # Cannot happen for P1-respecting families; defensive only.
-            return ClosedAnswer(
-                family, Verdict.UNDETERMINED, 0, 0, None, route="witness-index"
-            )
+            return ClosedFold(0, 0).to_answer(family, "witness-index")
         index = self._witness_index(formula, ())
         if index is None:
             with obs_span("enumerate-repairs", route=self._route):
-                return self._answer_by_enumeration(
-                    formula, family, fragments, parallel
-                )
+                folded = self._fold_closed(formula, fragments, parallel)
+                return folded.to_answer(family, self._route)
         with obs_span("witness-cover"):
             supports = index.supports_for(())
             relevant, compat, always = self._compatibility(
                 supports, components, fragments
             )
         if always:
-            return ClosedAnswer(
-                family, Verdict.TRUE, total, total, None, route="witness-index"
-            )
+            return ClosedFold(total, total).to_answer(family, "witness-index")
         if not compat:
-            return ClosedAnswer(
-                family,
-                Verdict.FALSE,
-                total,
-                0,
-                self._assemble_repair({}, fragments),
-                route="witness-index",
+            counterexample = self._assemble_repair({}, fragments)
+            return ClosedFold(total, 0, counterexample).to_answer(
+                family, "witness-index"
             )
         scale = total
         for comp_index in relevant:
@@ -503,78 +555,12 @@ class IncrementalCqaEngine:
             uncovered_product *= uncovered
             if witness is not None:
                 witness_choices.update(witness)
-        satisfying = total - uncovered_product * scale
-        counterexample: Optional[Repair] = None
+        counterexample = None
         if uncovered_product:
             counterexample = self._assemble_repair(witness_choices, fragments)
-        if satisfying == total:
-            verdict = Verdict.TRUE
-        elif satisfying == 0:
-            verdict = Verdict.FALSE  # pragma: no cover - needs zero supports
-        else:
-            verdict = Verdict.UNDETERMINED
-        return ClosedAnswer(
-            family, verdict, total, satisfying, counterexample,
-            route="witness-index",
-        )
-
-    def _answer_by_enumeration(
-        self,
-        formula: Formula,
-        family: Family,
-        fragments: List[List[Repair]],
-        parallel: Optional[int] = None,
-    ) -> ClosedAnswer:
-        """Fallback for non-conjunctive queries: evaluate per repair."""
-        from repro.service.parallel import resolve_workers
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            from repro.service.parallel import plan_from_fragments, run_closed
-
-            merged = run_closed(
-                plan_from_fragments(fragments),
-                formula,
-                workers=workers,
-                naive=self.naive,
-            )
-            return self._closed_from_counts(
-                family, merged.considered, merged.satisfying,
-                merged.counterexample,
-            )
-        considered = 0
-        satisfying = 0
-        counterexample: Optional[Repair] = None
-        constants = constants_of(formula)
-        for repair in self._iterate_repairs(fragments):
-            considered += 1
-            context = self._contexts.context_for(repair, constants)
-            if evaluate(formula, repair, context=context):
-                satisfying += 1
-            elif counterexample is None:
-                counterexample = repair
-        return self._closed_from_counts(
-            family, considered, satisfying, counterexample
-        )
-
-    def _closed_from_counts(
-        self,
-        family: Family,
-        considered: int,
-        satisfying: int,
-        counterexample: Optional[Repair],
-    ) -> ClosedAnswer:
-        if considered == 0:
-            verdict = Verdict.UNDETERMINED  # pragma: no cover - defensive
-        elif satisfying == considered:
-            verdict = Verdict.TRUE
-        elif satisfying == 0:
-            verdict = Verdict.FALSE
-        else:
-            verdict = Verdict.UNDETERMINED
-        return ClosedAnswer(
-            family, verdict, considered, satisfying, counterexample,
-            route=self._route,
+        satisfying = total - uncovered_product * scale
+        return ClosedFold(total, satisfying, counterexample).to_answer(
+            family, "witness-index"
         )
 
     def is_consistently_true(
@@ -591,15 +577,8 @@ class IncrementalCqaEngine:
         components, fragments = self._fragment_table(family)
         index = self._witness_index(formula, ())
         if index is None:
-            constants = constants_of(formula)
-            return all(
-                evaluate(
-                    formula,
-                    repair,
-                    context=self._contexts.context_for(repair, constants),
-                )
-                for repair in self._iterate_repairs(fragments)
-            )
+            folded = self._fold_closed(formula, fragments, stop_on_false=True)
+            return folded.counterexample is None
         supports = index.supports_for(())
         relevant, compat, always = self._compatibility(
             supports, components, fragments
@@ -660,9 +639,9 @@ class IncrementalCqaEngine:
         index = self._witness_index(formula, tuple(variables))
         if index is None or total == 0:
             with obs_span("enumerate-repairs", route=self._route):
-                return self._certain_answers_by_enumeration(
-                    formula, tuple(variables), family, fragments, parallel
-                )
+                return self._fold_open(
+                    formula, tuple(variables), fragments, parallel
+                ).to_answers(family, variables, self._route)
         certain: Set[Tuple] = set()
         possible: Set[Tuple] = set()
         with obs_span("witness-cover"):
@@ -698,54 +677,6 @@ class IncrementalCqaEngine:
             frozenset(possible),
             total,
             route="witness-index",
-        )
-
-    def _certain_answers_by_enumeration(
-        self,
-        formula: Formula,
-        variables: Tuple[str, ...],
-        family: Family,
-        fragments: List[List[Repair]],
-        parallel: Optional[int] = None,
-    ) -> OpenAnswers:
-        from repro.service.parallel import resolve_workers
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            from repro.service.parallel import plan_from_fragments, run_open
-
-            merged = run_open(
-                plan_from_fragments(fragments),
-                formula,
-                variables,
-                workers=workers,
-                naive=self.naive,
-            )
-            return OpenAnswers(
-                family,
-                variables,
-                merged.certain,
-                merged.possible,
-                merged.considered,
-                route=self._route,
-            )
-        certain: Optional[FrozenSet[Tuple]] = None
-        possible: FrozenSet[Tuple] = frozenset()
-        considered = 0
-        constants = constants_of(formula)
-        for repair in self._iterate_repairs(fragments):
-            considered += 1
-            context = self._contexts.context_for(repair, constants)
-            result = evaluate_answers(formula, repair, variables, context=context)
-            certain = result if certain is None else certain & result
-            possible = possible | result
-        return OpenAnswers(
-            family,
-            variables,
-            certain if certain is not None else frozenset(),
-            possible,
-            considered,
-            route=self._route,
         )
 
     def sql_certain_answers(

@@ -77,9 +77,8 @@ from repro.priorities.priority import (
     digraph_has_cycle,
 )
 from repro.query.ast import Formula, relations_of
-from repro.query.parser import parse_query
 from repro.query.sql import sql_to_formula
-from repro.query.validate import check_against_schema
+from repro.query.validate import parse_checked
 from repro.relational.sqlite_io import load_database, load_schema
 
 #: The families with survivor tables (``Rep`` keeps every repair).
@@ -282,9 +281,7 @@ class PrefSqlCqaEngine:
     # Routing -----------------------------------------------------------------
 
     def _to_formula(self, query: Union[str, Formula]) -> Formula:
-        with obs_span("parse"):
-            formula = parse_query(query) if isinstance(query, str) else query
-            return check_against_schema(formula, self.schema)
+        return parse_checked(query, self.schema)
 
     def explain(
         self,
@@ -388,12 +385,7 @@ class PrefSqlCqaEngine:
         annotate(route=decision.route)
         with obs_span("winnow-execute", route=decision.route):
             result = decision.plan.run(self._connection)
-        if result.certain:
-            verdict = Verdict.TRUE  # true in every preferred repair
-        elif result.possible:
-            verdict = Verdict.UNDETERMINED  # true in some, false in some
-        else:
-            verdict = Verdict.FALSE  # true in no preferred repair
+        verdict = Verdict.of(bool(result.certain), bool(result.possible))
         observe_query(
             "prefsql", decision.route, str(family),
             time.perf_counter() - started,

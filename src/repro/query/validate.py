@@ -3,12 +3,16 @@
 The evaluator is schema-agnostic (it sees only value tuples), so an
 atom with the wrong arity or a misspelled relation name would silently
 evaluate to false.  When a schema is available, :func:`check_against_schema`
-turns such mistakes into loud :class:`QueryError` diagnostics.
+turns such mistakes into loud :class:`QueryError` diagnostics, and
+:func:`parse_checked` is the one front door every engine parses through.
 """
 
 from __future__ import annotations
 
+from typing import Union
+
 from repro.exceptions import QueryError
+from repro.obs import span as obs_span
 from repro.query.ast import (
     And,
     Atom,
@@ -22,7 +26,18 @@ from repro.query.ast import (
     Or,
     TrueFormula,
 )
+from repro.query.parser import parse_query
 from repro.relational.schema import DatabaseSchema
+
+
+def parse_checked(
+    query: Union[str, Formula], schema: DatabaseSchema
+) -> Formula:
+    """Parse ``query`` if it is a string, then validate the formula
+    against ``schema``; both steps run inside the ``parse`` span."""
+    with obs_span("parse"):
+        formula = parse_query(query) if isinstance(query, str) else query
+        return check_against_schema(formula, schema)
 
 
 def check_against_schema(formula: Formula, schema: DatabaseSchema) -> Formula:

@@ -331,7 +331,6 @@ class RequestBroker:
         family: Family = Family.REP,
         sqlite_pushdown: bool = True,
         prefsql_pushdown: bool = True,
-        naive: bool = False,
     ) -> str:
         """Register a database under ``name``; the first becomes default.
 
@@ -343,12 +342,10 @@ class RequestBroker:
         with self._lock:
             if name in self._entries:
                 raise QueryError(f"database {name!r} is already registered")
-            engine = IncrementalCqaEngine(
-                data, dependencies, priority, family, naive=naive
-            )
+            engine = IncrementalCqaEngine(data, dependencies, priority, family)
             mirror = (
                 SqliteMirror(tuple(dependencies), family)
-                if sqlite_pushdown and not naive
+                if sqlite_pushdown
                 else None
             )
             self._entries[name] = _Entry(
@@ -463,7 +460,6 @@ class RequestBroker:
                 formula,
                 variables,
                 priority=tuple(active),
-                naive=entry.engine.naive,
             )
             self._route_reports.put(key, report)
         return report

@@ -16,18 +16,26 @@ construction: fragments are transmitted as index tuples into a shared
 row table (the component content fingerprints the incremental caches
 key on), and :class:`~repro.relational.rows.Row` itself reconstructs
 through its schema on unpickle.  Workers rebuild each repair from its
-index, evaluate with the same indexed (or ``naive``) evaluator the
-serial engines use, and return mergeable partials:
+index and fold their range with the same Definition 3 fold the serial
+engines use (:func:`~repro.cqa.answers.fold_closed` /
+:func:`~repro.cqa.answers.fold_open`, with the indexed or ``naive``
+evaluator and one fresh context per repair).  Each shard returns its
+range's :class:`~repro.cqa.answers.ClosedFold` or
+:class:`~repro.cqa.answers.OpenFold`, a mergeable partial:
 
-* closed queries — (considered, satisfying, first-falsifying index);
+* closed queries — (considered, satisfying, first falsifier and its index);
 * open queries — (considered, certain ∩, possible ∪).
 
 The merge is deterministic: counts add, answer sets intersect/union
 (orderless), and the counterexample is the repair at the *smallest*
-falsifying index — i.e. the first one the serial stream would have
-seen.  ``workers=1`` executes the same shard code in-process, so the
-parallel path is exercised (and differentially testable) without a
-pool.
+falsifying index.  Counts and answer sets equal the serial engine's
+for every family.  For the streaming families (Rep, L, S) the shard
+plan lists repairs in the serial stream's order, so the counterexample
+is the serial stream's first falsifier; for G and C the order may
+differ, and the counterexample agrees on content (a preferred repair
+falsifying the query) rather than identity.  ``workers=1`` executes
+the same shard code in-process, so the parallel path is exercised (and
+differentially testable) without a pool.
 """
 
 from __future__ import annotations
@@ -55,12 +63,10 @@ from repro.core.optimality import (
     is_locally_optimal,
     is_semi_globally_optimal,
 )
+from repro.cqa.answers import ClosedFold, OpenFold, fold_closed, fold_open
 from repro.obs import REGISTRY, Span, current_tracer, trace
 from repro.priorities.priority import Priority
 from repro.query.ast import Formula
-from repro.query.evaluator import answers as evaluate_answers
-from repro.query.evaluator import evaluate
-from repro.relational.domain import Value
 from repro.relational.rows import Row
 from repro.repairs.enumerate import _component_repairs
 
@@ -194,12 +200,12 @@ _Task = Tuple[
 
 
 def _run_shard(task: _Task):
-    """Evaluate one contiguous index range of the repair space.
+    """Fold one contiguous index range of the repair space.
 
     Module-level so it imports under ``spawn`` start methods; returns
-    ``(considered, satisfying, first_false, elapsed, span)`` for closed
-    queries and ``(considered, certain, possible, elapsed, span)`` for
-    open ones.  ``elapsed`` is the shard's own wall time: workers run
+    ``(fold, elapsed, span)`` where ``fold`` is the range's
+    :class:`ClosedFold` (closed queries) or :class:`OpenFold` (open
+    ones).  ``elapsed`` is the shard's own wall time: workers run
     in separate processes and cannot write the parent's metrics
     registry, so durations travel home with the partials and the merge
     records them.  When the parent was tracing (``traced``), the shard
@@ -223,7 +229,7 @@ def _run_shard(task: _Task):
             base, fragments, formula, variables, start, stop, naive,
             stop_on_false,
         )
-        tracer.annotate(considered=partial[0])
+        tracer.annotate(considered=partial[0].considered)
     return partial + (tracer.root.to_dict(),)
 
 
@@ -238,31 +244,17 @@ def _eval_shard(
     stop_on_false: bool,
 ):
     shard_started = time.perf_counter()
+    repairs = (
+        _assemble(base, fragments, index) for index in range(start, stop)
+    )
     if variables is None:
-        considered = satisfying = 0
-        first_false: Optional[int] = None
-        for index in range(start, stop):
-            repair = _assemble(base, fragments, index)
-            considered += 1
-            if evaluate(formula, repair, naive=naive):
-                satisfying += 1
-            elif first_false is None:
-                first_false = index
-                if stop_on_false:
-                    break
-        elapsed = time.perf_counter() - shard_started
-        return considered, satisfying, first_false, elapsed
-    certain: Optional[FrozenSet[Tuple[Value, ...]]] = None
-    possible: FrozenSet[Tuple[Value, ...]] = frozenset()
-    considered = 0
-    for index in range(start, stop):
-        repair = _assemble(base, fragments, index)
-        considered += 1
-        result = evaluate_answers(formula, repair, variables, naive=naive)
-        certain = result if certain is None else certain & result
-        possible = possible | result
-    elapsed = time.perf_counter() - shard_started
-    return considered, certain, possible, elapsed
+        folded = fold_closed(
+            repairs, formula, stop_on_false=stop_on_false, naive=naive,
+            start=start,
+        )
+    else:
+        folded = fold_open(repairs, formula, variables, naive=naive)
+    return folded, time.perf_counter() - shard_started
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +297,8 @@ def shutdown_pools() -> None:
 
 def _chunks(total: int, workers: int) -> List[Tuple[int, int]]:
     """Contiguous ``[start, stop)`` ranges covering ``[0, total)``."""
+    if total == 0:
+        return []
     count = min(total, max(1, workers) * _CHUNKS_PER_WORKER)
     size, leftover = divmod(total, count)
     ranges: List[Tuple[int, int]] = []
@@ -317,7 +311,7 @@ def _chunks(total: int, workers: int) -> List[Tuple[int, int]]:
 
 
 def _map_tasks(tasks: List[_Task], workers: int) -> List:
-    if workers <= 1 or len(tasks) == 1:
+    if workers <= 1 or len(tasks) <= 1:
         return [_run_shard(task) for task in tasks]
     return _pool(workers).map(_run_shard, tasks)
 
@@ -325,24 +319,6 @@ def _map_tasks(tasks: List[_Task], workers: int) -> List:
 # ---------------------------------------------------------------------------
 # Public execution surface
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosedMerge:
-    """Deterministic merge of closed-query shard partials."""
-
-    considered: int
-    satisfying: int
-    counterexample: Optional[Repair]
-
-
-@dataclass(frozen=True)
-class OpenMerge:
-    """Deterministic merge of open-query shard partials."""
-
-    considered: int
-    certain: FrozenSet[Tuple[Value, ...]]
-    possible: FrozenSet[Tuple[Value, ...]]
 
 
 def _record_shards(durations: List[float]) -> None:
@@ -382,7 +358,7 @@ def _graft_shards(results: List) -> None:
     if tracer is None:
         return
     for result in results:
-        payload = result[4]
+        payload = result[2]
         if payload is not None:
             tracer.graft(Span.from_dict(payload))
 
@@ -418,29 +394,17 @@ def run_closed(
     workers: int = 1,
     naive: bool = False,
     stop_on_false: bool = False,
-) -> ClosedMerge:
-    """Closed-query verdict counts over the sharded repair space.
+) -> ClosedFold:
+    """Closed-query fold over the sharded repair space.
 
     With ``stop_on_false`` each shard abandons its range at the first
     falsifying repair (counts are then lower bounds — enough for the
     boolean certainty check); otherwise counts are exact and the
     counterexample is the serial stream's first falsifier.
     """
-    total = plan.total
-    if total == 0:
-        return ClosedMerge(0, 0, None)
-    results = _map_tasks(
-        _tasks_for(plan, formula, None, workers, naive, stop_on_false), workers
+    return ClosedFold.merge(
+        _run_plan(plan, formula, None, workers, naive, stop_on_false)
     )
-    _graft_shards(results)
-    _record_shards([result[3] for result in results])
-    considered = sum(result[0] for result in results)
-    satisfying = sum(result[1] for result in results)
-    falsifiers = [result[2] for result in results if result[2] is not None]
-    counterexample = (
-        plan.repair_at(min(falsifiers)) if falsifiers else None
-    )
-    return ClosedMerge(considered, satisfying, counterexample)
 
 
 def run_open(
@@ -449,31 +413,29 @@ def run_open(
     variables: Tuple[str, ...],
     workers: int = 1,
     naive: bool = False,
-) -> OpenMerge:
+) -> OpenFold:
     """Certain/possible answer sets over the sharded repair space."""
-    total = plan.total
-    if total == 0:
-        return OpenMerge(0, frozenset(), frozenset())
+    return OpenFold.merge(
+        _run_plan(plan, formula, tuple(variables), workers, naive, False)
+    )
+
+
+def _run_plan(
+    plan: ShardPlan,
+    formula: Formula,
+    variables: Optional[Tuple[str, ...]],
+    workers: int,
+    naive: bool,
+    stop_on_false: bool,
+) -> List:
+    """Fan the plan's shards out and return their folds, in index order."""
     results = _map_tasks(
-        _tasks_for(plan, formula, tuple(variables), workers, naive, False),
+        _tasks_for(plan, formula, variables, workers, naive, stop_on_false),
         workers,
     )
     _graft_shards(results)
-    _record_shards([result[3] for result in results])
-    considered = 0
-    certain: Optional[FrozenSet[Tuple[Value, ...]]] = None
-    possible: FrozenSet[Tuple[Value, ...]] = frozenset()
-    for shard_considered, shard_certain, shard_possible, _, _ in results:
-        if shard_considered == 0:
-            continue
-        considered += shard_considered
-        certain = (
-            shard_certain if certain is None else certain & shard_certain
-        )
-        possible = possible | shard_possible
-    return OpenMerge(
-        considered, certain if certain is not None else frozenset(), possible
-    )
+    _record_shards([result[1] for result in results])
+    return [result[0] for result in results]
 
 
 def resolve_workers(parallel: Optional[int]) -> Optional[int]:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.constraints.denial import DenialConstraint, fd_as_denial
+from repro.constraints.fd import FunctionalDependency
 from repro.cqa.answers import Verdict
 from repro.cqa.engine import CqaEngine
 from repro.cqa.hypergraph_cqa import DenialCqaEngine
@@ -93,3 +94,33 @@ class TestFdEquivalence:
         answer = engine.answer("Emp(Mary, 'R&D', 40)")
         assert answer.counterexample is not None
         assert answer.satisfying == 1
+
+
+class TestQueryValidation:
+    """Queries are checked against the schema, as the FD engines do."""
+
+    KEYED = RelationSchema("R", ["K:number", "A:number"])
+
+    @pytest.fixture
+    def engine(self):
+        instance = RelationInstance.from_values(
+            self.KEYED, [(0, 0), (0, 1), (1, 0)]
+        )
+        fd = FunctionalDependency(["K"], ["A"])
+        return DenialCqaEngine(instance, [fd_as_denial(fd, self.KEYED)])
+
+    @pytest.mark.parametrize(
+        "query", ["EXISTS x . S(x)", "EXISTS x, y, z . R(x, y, z)"]
+    )
+    def test_closed_query_rejected(self, engine, query):
+        with pytest.raises(QueryError):
+            engine.answer(query)
+
+    @pytest.mark.parametrize("query", ["S(x)", "EXISTS z . R(x, y, z)"])
+    def test_open_query_rejected(self, engine, query):
+        with pytest.raises(QueryError):
+            engine.certain_answers(query)
+
+    def test_valid_query_still_answers(self, engine):
+        assert engine.answer("EXISTS x . R(1, x)").verdict is Verdict.TRUE
+        assert engine.answer("R(0, 0)").verdict is Verdict.UNDETERMINED
