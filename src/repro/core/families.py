@@ -14,6 +14,14 @@ family       selection rule                                    checking
 ===========  ===============================================  ==========
 
 Containments (Propositions 3, 4, 6): C ⊆ G ⊆ S ⊆ L ⊆ Rep.
+
+:func:`select_preferred` filters a complete repair pool.  L and S test
+each repair with their PTIME checks.  G and C lean on the containments:
+both test only the S-optimal repairs as candidates.  A G candidate is
+kept when no repair of the *whole* pool is strictly ≪-preferred over it
+(Proposition 5).  A C candidate is kept when it passes the PTIME C-repair
+check (Corollary 2).  Without a pool, C-Rep is enumerated directly by
+running Algorithm 1 over every choice sequence.
 """
 
 from __future__ import annotations
@@ -51,6 +59,35 @@ class Family(enum.Enum):
         return self.value
 
 
+def select_preferred(
+    family: Family, priority: Priority, pool: Sequence[Repair]
+) -> List[Repair]:
+    """The members of ``pool`` in ``X-Rep≻``, in pool order.
+
+    ``pool`` must be the *complete* repair set of the priority's (component)
+    graph: G and C test only S-optimal repairs as candidates, and that
+    prefilter is sound only when every repair is in the pool.  This is the
+    one selection rule behind :func:`preferred_repairs`, the incremental
+    engine's per-component fragments and the shard plans.
+    """
+    if family is Family.REP:
+        return list(pool)
+    if family is Family.LOCAL:
+        return [r for r in pool if is_locally_optimal(r, priority)]
+    if family is Family.SEMI_GLOBAL:
+        return [r for r in pool if is_semi_globally_optimal(r, priority)]
+    if family is Family.GLOBAL:
+        return globally_optimal_repairs(priority, pool)
+    if family is Family.COMMON:
+        return [
+            r
+            for r in pool
+            if is_semi_globally_optimal(r, priority)
+            and is_common_repair(r, priority)
+        ]
+    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
+
+
 def preferred_repairs(
     family: Family,
     priority: Priority,
@@ -58,28 +95,15 @@ def preferred_repairs(
 ) -> List[Repair]:
     """``X-Rep≻`` for the given family, in deterministic order.
 
-    ``repairs`` may carry a precomputed list of all repairs to share
-    enumeration work across families (ignored by ``COMMON``, which
-    never needs the full repair set).
+    ``repairs`` may carry the precomputed list of *all* repairs to share
+    enumeration work across families (see :func:`select_preferred`).
+    Without it, ``COMMON`` runs Algorithm 1 over every choice sequence
+    and never enumerates the full repair set.
     """
-    if family is Family.COMMON:
+    if family is Family.COMMON and repairs is None:
         return all_cleaning_results(priority)
-    pool: List[Repair] = (
-        list(repairs)
-        if repairs is not None
-        else list(enumerate_repairs(priority.graph))
-    )
-    if family is Family.REP:
-        selected = pool
-    elif family is Family.LOCAL:
-        selected = [r for r in pool if is_locally_optimal(r, priority)]
-    elif family is Family.SEMI_GLOBAL:
-        selected = [r for r in pool if is_semi_globally_optimal(r, priority)]
-    elif family is Family.GLOBAL:
-        selected = globally_optimal_repairs(priority, pool)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown family {family!r}")
-    return sorted(selected, key=repair_sort_key)
+    pool = repairs if repairs is not None else list(enumerate_repairs(priority.graph))
+    return sorted(select_preferred(family, priority, pool), key=repair_sort_key)
 
 
 def is_preferred_repair(

@@ -35,10 +35,9 @@ def prefers(priority: Priority, worse: AbstractSet[Row], better: AbstractSet[Row
     worse = frozenset(worse)
     better = frozenset(better)
     gained = better - worse
-    for lost in worse - better:
-        if not any(priority.dominates(winner, lost) for winner in gained):
-            return False
-    return True
+    return not any(
+        priority.dominators_of(lost).isdisjoint(gained) for lost in worse - better
+    )
 
 
 def strictly_prefers(

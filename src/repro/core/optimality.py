@@ -22,7 +22,7 @@ from itertools import chain, combinations
 from typing import AbstractSet, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.constraints.conflict_graph import ConflictGraph
-from repro.core.lifting import maximal_under_preference, strictly_prefers
+from repro.core.lifting import strictly_prefers
 from repro.priorities.priority import Priority
 from repro.relational.rows import Row
 
@@ -40,10 +40,8 @@ def is_locally_optimal(repair: AbstractSet[Row], priority: Priority) -> bool:
     repair = frozenset(repair)
     for outsider in graph.vertices - repair:
         inside = graph.neighbours(outsider) & repair
-        if len(inside) == 1:
-            (blocker,) = inside
-            if priority.dominates(outsider, blocker):
-                return False
+        if len(inside) == 1 and inside <= priority.dominated_by(outsider):
+            return False
     return True
 
 
@@ -58,9 +56,7 @@ def is_semi_globally_optimal(repair: AbstractSet[Row], priority: Priority) -> bo
     repair = frozenset(repair)
     for outsider in graph.vertices - repair:
         inside = graph.neighbours(outsider) & repair
-        if inside and all(
-            priority.dominates(outsider, blocker) for blocker in inside
-        ):
+        if inside and inside <= priority.dominated_by(outsider):
             return False
     return True
 
@@ -92,13 +88,28 @@ def is_globally_optimal(
 def globally_optimal_repairs(
     priority: Priority, repairs: Optional[Sequence[Repair]] = None
 ) -> List[Repair]:
-    """All globally optimal repairs (the ≪-maximal repairs)."""
+    """All globally optimal repairs (the ≪-maximal repairs), in pool order.
+
+    ``repairs``, when given, must be the *complete* repair set of the
+    priority's graph.  Only S-optimal repairs are tested as candidates
+    (G ⊆ S, Proposition 6; the S-check is PTIME, Corollary 1), and each
+    is still tested against the whole pool.  The prefilter is sound only
+    on the complete set: in a partial pool a repair can be ≪-maximal
+    without being S-optimal (the repair that improves it is missing), and
+    this function would drop it where :func:`maximal_under_preference`
+    keeps it.
+    """
     from repro.repairs.enumerate import enumerate_repairs  # cycle guard
 
     pool: List[Repair] = (
         list(repairs) if repairs is not None else list(enumerate_repairs(priority.graph))
     )
-    return maximal_under_preference(priority, pool)
+    return [
+        candidate
+        for candidate in pool
+        if is_semi_globally_optimal(candidate, priority)
+        and is_globally_optimal(candidate, priority, pool)
+    ]
 
 
 def _nonempty_subsets(rows: Sequence[Row]) -> Iterable[FrozenSet[Row]]:

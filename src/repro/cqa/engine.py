@@ -43,7 +43,6 @@ from repro.obs import span as obs_span
 
 from repro.constraints.conflict_graph import ConflictGraph, build_conflict_graph
 from repro.constraints.fd import FunctionalDependency
-from repro.core.cleaning import all_cleaning_results
 from repro.core.families import Family, preferred_repairs
 from repro.core.optimality import is_locally_optimal, is_semi_globally_optimal
 from repro.cqa.answers import (

@@ -26,13 +26,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from repro.cache import BoundedCache
 from repro.constraints.conflict_graph import ConflictGraph
-from repro.core.cleaning import all_cleaning_results
-from repro.core.families import Family
-from repro.core.optimality import (
-    globally_optimal_repairs,
-    is_locally_optimal,
-    is_semi_globally_optimal,
-)
+from repro.core.families import Family, select_preferred
 from repro.priorities.priority import Priority, PriorityEdge
 from repro.relational.rows import Row
 from repro.repairs.enumerate import enumerate_repairs, repair_sort_key
@@ -44,11 +38,6 @@ Repair = FrozenSet[Row]
 #: Fingerprint of a component for family-filtered entries: the vertex
 #: set plus the priority edges active inside the component.
 FamilyKey = Tuple[Family, FrozenSet[Row], FrozenSet[PriorityEdge]]
-
-
-def _deterministic(repairs: List[Repair]) -> List[Repair]:
-    """The listing order used by :func:`repro.core.families.preferred_repairs`."""
-    return sorted(repairs, key=repair_sort_key)
 
 
 class ComponentRepairCache:
@@ -87,8 +76,11 @@ class ComponentRepairCache:
             return cached
         subgraph = self.component_graph(graph, component)
         # The component is connected by construction; skip re-factoring.
-        fragments = _deterministic(
-            list(enumerate_repairs(subgraph, factor_components=False))
+        # Listed in :func:`repro.core.families.preferred_repairs` order;
+        # preferred fragments are filtered from this list and keep it.
+        fragments = sorted(
+            enumerate_repairs(subgraph, factor_components=False),
+            key=repair_sort_key,
         )
         self._fragments.put(component, fragments)
         return fragments
@@ -115,30 +107,10 @@ class ComponentRepairCache:
         cached = self._preferred.get(key)
         if cached is not None:
             return cached
-        fragments = self.repair_fragments(graph, component)
-        if family is Family.REP and not active_edges:
-            selected = fragments
-        else:
-            priority = Priority(
-                self.component_graph(graph, component), active_edges
-            )
-            if family is Family.REP:
-                selected = fragments
-            elif family is Family.LOCAL:
-                selected = [
-                    f for f in fragments if is_locally_optimal(f, priority)
-                ]
-            elif family is Family.SEMI_GLOBAL:
-                selected = [
-                    f for f in fragments if is_semi_globally_optimal(f, priority)
-                ]
-            elif family is Family.GLOBAL:
-                selected = globally_optimal_repairs(priority, fragments)
-            elif family is Family.COMMON:
-                selected = all_cleaning_results(priority)
-            else:  # pragma: no cover - exhaustive enum
-                raise ValueError(f"unknown family {family!r}")
-        selected = _deterministic(list(selected))
+        priority = Priority(self.component_graph(graph, component), active_edges)
+        selected = select_preferred(
+            family, priority, self.repair_fragments(graph, component)
+        )
         self._preferred.put(key, selected)
         return selected
 

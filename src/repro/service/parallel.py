@@ -56,19 +56,13 @@ from typing import (
 )
 
 from repro.constraints.conflict_graph import ConflictGraph
-from repro.core.cleaning import all_cleaning_results
-from repro.core.families import Family
-from repro.core.optimality import (
-    globally_optimal_repairs,
-    is_locally_optimal,
-    is_semi_globally_optimal,
-)
+from repro.core.families import Family, select_preferred
 from repro.cqa.answers import ClosedFold, OpenFold, fold_closed, fold_open
 from repro.obs import REGISTRY, Span, current_tracer, trace
 from repro.priorities.priority import Priority
 from repro.query.ast import Formula
 from repro.relational.rows import Row
-from repro.repairs.enumerate import _component_repairs
+from repro.repairs.enumerate import _component_repairs, repair_sort_key
 
 Repair = FrozenSet[Row]
 
@@ -150,19 +144,12 @@ def shard_plan(
             continue
         options = _component_repairs(graph, component, pivoting=True)
         if family is not Family.REP:
-            local = priority.restricted_to(component)
-            if family is Family.LOCAL:
-                options = [f for f in options if is_locally_optimal(f, local)]
-            elif family is Family.SEMI_GLOBAL:
-                options = [
-                    f for f in options if is_semi_globally_optimal(f, local)
-                ]
-            elif family is Family.GLOBAL:
-                options = list(globally_optimal_repairs(local, options))
-            elif family is Family.COMMON:
-                options = list(all_cleaning_results(local))
-            else:  # pragma: no cover - exhaustive enum
-                raise ValueError(f"unknown family {family!r}")
+            options = select_preferred(
+                family, priority.restricted_to(component), options
+            )
+            if family is Family.COMMON:
+                # In the order all_cleaning_results lists C-Rep.
+                options.sort(key=repair_sort_key)
         fragment_lists.append(tuple(options))
     return ShardPlan(frozenset(fixed), tuple(fragment_lists))
 

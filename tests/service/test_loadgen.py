@@ -15,6 +15,7 @@ from repro.exceptions import AdmissionError
 from repro.obs.workload import Workload, WorkloadEntry
 from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
+from repro.relational.rows import sorted_rows
 from repro.relational.schema import RelationSchema
 from repro.service.broker import AdmissionController, Request, RequestBroker
 from repro.service.loadgen import (
@@ -168,7 +169,7 @@ class TestReplay:
         reference = generator.serial_reference()
         # Mutate the queried relation after the reference pass: replayed
         # answers now legitimately differ and must be flagged.
-        row = next(iter(chain_instance(9).rows - chain_instance(5).rows))
+        row = sorted_rows(chain_instance(9).rows - chain_instance(5).rows)[0]
         broker.insert(row)
         cell = generator.run_cell(
             CellSpec(concurrency=2, write_fraction=0.0, requests=20, seed=2),
