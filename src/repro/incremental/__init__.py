@@ -10,7 +10,7 @@ package keeps all three alive across tuple-level updates:
 * :class:`ComponentRepairCache` — repair sets and per-family preferred
   fragments cached per component under content fingerprints;
 * :class:`WitnessIndex` — incrementally maintained witness supports for
-  safe conjunctive queries;
+  safe conjunctive queries with negated atoms;
 * :class:`IncrementalCqaEngine` — the mutable engine answering under
   all five repair families without per-update rebuilds.
 """

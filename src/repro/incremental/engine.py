@@ -10,9 +10,10 @@ tuple by tuple.  Three layers make re-answering after an update cheap:
 2. repairs are cached **per connected component** and keyed by content
    fingerprints, so an update invalidates exactly the merged or split
    components and every other component's repair set is reused;
-3. safe conjunctive queries are answered from an incrementally
-   maintained witness index: the engine checks which per-component
-   fragment choices cover a witness support instead of materializing
+3. safe conjunctive queries, with or without safe negated atoms, are
+   answered from an incrementally maintained witness index: the engine
+   checks which per-component fragment choices cover a witness (contain
+   its support rows and none of its blockers) instead of materializing
    the (exponentially large) cross-product of repairs.
 
 Priority edges are *declared*, not frozen: an edge whose endpoints stop
@@ -61,6 +62,7 @@ from repro.obs import annotate, observe_query
 from repro.obs import span as obs_span
 from repro.query.validate import parse_checked
 from repro.relational.database import Database
+from repro.relational.domain import Value
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -69,7 +71,7 @@ from repro.repairs.enumerate import repair_sort_key
 from repro.incremental.cache import ComponentRepairCache
 from repro.incremental.dynamic_graph import DynamicConflictGraph, GraphDelta
 from repro.incremental.witnesses import (
-    ConjunctivePlan,
+    Support,
     WitnessIndex,
     conjunctive_plan,
 )
@@ -115,7 +117,9 @@ class IncrementalCqaEngine:
         elif data is not None:
             rows = list(data)
         self.graph = DynamicConflictGraph(dependencies=self.dependencies)
-        self._rows_by_relation: Dict[str, Set[Row]] = {}
+        # Current rows keyed by values: witness joins scan a relation,
+        # blocker checks look one fact up.
+        self._rows_by_relation: Dict[str, Dict[Tuple[Value, ...], Row]] = {}
         self._cache = ComponentRepairCache(max_entries=cache_entries)
         # Re-validations after updates reassemble the same repairs over
         # and over; contexts are content-keyed, so unchanged repairs
@@ -167,7 +171,7 @@ class IncrementalCqaEngine:
         delta = self.graph.insert(row)
         if delta.is_noop:
             return delta
-        self._rows_by_relation.setdefault(row.relation, set()).add(row)
+        self._rows_by_relation.setdefault(row.relation, {})[row.values] = row
         for index in self._witnesses.values():
             index.apply_insert(row, self._rows_by_relation)
         return delta
@@ -182,7 +186,7 @@ class IncrementalCqaEngine:
     def delete(self, row: Row) -> GraphDelta:
         """Remove a tuple; raises :class:`UpdateError` if absent."""
         delta = self.graph.delete(row)
-        self._rows_by_relation[row.relation].discard(row)
+        del self._rows_by_relation[row.relation][row.values]
         for index in self._witnesses.values():
             index.apply_delete(row)
         self.updates_applied += 1
@@ -353,12 +357,21 @@ class IncrementalCqaEngine:
         self._witnesses[key] = index
         return index
 
-    # Covering machinery (conjunctive fast path) -------------------------------
+    # Covering machinery (witness-index fast path) ----------------------------
+
+    def _component_positions(
+        self, components: List[FrozenSet[Row]]
+    ) -> Dict[int, int]:
+        """Component id → position in the fragment table."""
+        return {
+            self.graph.component_id_of(next(iter(component))): position
+            for position, component in enumerate(components)
+        }
 
     def _compatibility(
         self,
-        supports: Iterable[FrozenSet[Row]],
-        components: List[FrozenSet[Row]],
+        supports: Iterable[Support],
+        positions: Dict[int, int],
         fragments: List[List[Repair]],
     ) -> Tuple[Optional[List[int]], Optional[List[Dict[int, FrozenSet[int]]]], bool]:
         """Reduce supports to per-component fragment constraints.
@@ -366,30 +379,37 @@ class IncrementalCqaEngine:
         Returns ``(relevant, compat, always)`` where ``relevant`` lists
         the indexes of multi-fragment components constrained by some
         support, ``compat[s][c]`` is the set of fragment indexes of
-        component ``c`` containing support ``s``'s rows there, and
-        ``always`` flags a support satisfied by *every* repair (then the
-        other two are ``None``).  Supports impossible under the fixed
-        single-fragment components are dropped.
+        component ``c`` that contain support ``s``'s rows there and none
+        of its present blockers, and ``always`` flags a support satisfied
+        by *every* repair (then the other two are ``None``).  Supports
+        impossible under the fixed single-fragment components are
+        dropped.  ``positions`` maps component ids to fragment-table
+        positions (:meth:`_component_positions`).
         """
-        index_of_component = {
-            self.graph.component_id_of(next(iter(component))): position
-            for position, component in enumerate(components)
-        }
+        component_of = self.graph.component_id_of
         by_component: List[Dict[int, FrozenSet[int]]] = []
         relevant: Set[int] = set()
         for support in supports:
             needed: Dict[int, Set[Row]] = {}
-            for row in support:
-                needed.setdefault(self.graph.component_id_of(row), set()).add(row)
+            for row in support.rows:
+                needed.setdefault(component_of(row), set()).add(row)
+            banned: Dict[int, Set[Row]] = {}
+            for relation, values in support.blockers:
+                blocker = self._rows_by_relation.get(relation, {}).get(values)
+                if blocker is not None:
+                    component_id = component_of(blocker)
+                    needed.setdefault(component_id, set())
+                    banned.setdefault(component_id, set()).add(blocker)
             constraints: Dict[int, FrozenSet[int]] = {}
             dead = False
             for component_id, rows_here in needed.items():
-                comp_index = index_of_component[component_id]
+                comp_index = positions[component_id]
                 options = fragments[comp_index]
+                absent = banned.get(component_id, ())
                 compatible = frozenset(
                     pos
                     for pos, fragment in enumerate(options)
-                    if rows_here <= fragment
+                    if rows_here <= fragment and fragment.isdisjoint(absent)
                 )
                 if not compatible:
                     dead = True
@@ -493,8 +513,8 @@ class IncrementalCqaEngine:
     ) -> ClosedAnswer:
         """Three-valued verdict with exact satisfying/considered counts.
 
-        ``parallel`` shards the enumeration fallback (non-conjunctive
-        queries) across a process pool; the witness-index fast path
+        ``parallel`` shards the enumeration fallback (queries outside
+        safe CQ¬) across a process pool; the witness-index fast path
         never materializes repairs, so it ignores the flag.
         """
         started = time.perf_counter()
@@ -532,9 +552,10 @@ class IncrementalCqaEngine:
                 folded = self._fold_closed(formula, fragments, parallel)
                 return folded.to_answer(family, self._route)
         with obs_span("witness-cover"):
-            supports = index.supports_for(())
             relevant, compat, always = self._compatibility(
-                supports, components, fragments
+                index.supports_for(()),
+                self._component_positions(components),
+                fragments,
             )
         if always:
             return ClosedFold(total, total).to_answer(family, "witness-index")
@@ -579,9 +600,10 @@ class IncrementalCqaEngine:
         if index is None:
             folded = self._fold_closed(formula, fragments, stop_on_false=True)
             return folded.counterexample is None
-        supports = index.supports_for(())
         relevant, compat, always = self._compatibility(
-            supports, components, fragments
+            index.supports_for(()),
+            self._component_positions(components),
+            fragments,
         )
         if always:
             return True
@@ -645,9 +667,10 @@ class IncrementalCqaEngine:
         certain: Set[Tuple] = set()
         possible: Set[Tuple] = set()
         with obs_span("witness-cover"):
+            positions = self._component_positions(components)
             for answer in index.answers():
                 relevant, compat, always = self._compatibility(
-                    index.supports_for(answer), components, fragments
+                    index.supports_for(answer), positions, fragments
                 )
                 if always:
                     certain.add(answer)

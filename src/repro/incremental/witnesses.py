@@ -1,26 +1,36 @@
 """Witness indexes: incremental support sets for conjunctive queries.
 
-A *safe conjunctive* query — an existential block over a conjunction of
-positive relational atoms and comparisons, with every variable occurring
-in some atom — is monotone, and its truth in a repair is decided by its
-**witnesses**: valuations of the variables whose supporting rows all lie
-in the repair.  Because every satisfying valuation is grounded through
-the atoms, the query holds in a repair ``r'`` iff some witness *support*
-(the set of rows matched by the atoms) is contained in ``r'``.
+The index covers *safe conjunctive queries with negated atoms* (CQ¬):
+an existential block over a conjunction of positive relational atoms,
+negated relational atoms and comparisons, where every variable — free,
+quantified, or used by a negated atom or a comparison — occurs in some
+positive atom.  Safety grounds every satisfying valuation through the
+positive atoms, so the query's truth in a repair ``r'`` is decided by
+its **witnesses**: valuations over the current instance, each carrying
+
+* its *support rows* — the rows the positive atoms match, and
+* its *blocker keys* — the ``(relation, values)`` facts the negated
+  atoms name under the same valuation.
+
+The query holds in ``r'`` iff some witness has every support row in
+``r'`` and none of its blockers (the **blocker rule**).  A blocker that
+names no current row can never be in a repair and is ignored.
 
 The engine therefore never evaluates such a query per repair.  It keeps,
 per query, a :class:`WitnessIndex` mapping answer tuples to their
-support sets over the *current* instance and maintains it under updates
-semi-naively:
+supports over the *current* instance and maintains it under updates
+semi-naively, keyed on support rows only:
 
 * ``apply_delete(row)`` drops the supports containing the row (via a
   row → support reverse index);
 * ``apply_insert(row)`` joins only the valuations that use the new row
-  in at least one atom.
+  in at least one positive atom.
 
-Containment of a support in a repair then factors through connected
-components (a repair is one fragment per component), which is what
-:mod:`repro.incremental.engine` exploits for component-scoped answering.
+Blocker keys are resolved against the current rows at query time, so
+inserting or deleting a blocker row needs no index upkeep.  Containment
+then factors through connected components (a repair is one fragment
+per component), which is what :mod:`repro.incremental.engine` exploits
+for component-scoped answering.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -46,22 +57,37 @@ from repro.query.ast import (
     EQUALITY_OPS,
     Exists,
     Formula,
+    Not,
     TrueFormula,
 )
 from repro.relational.domain import Value, values_comparable
 from repro.relational.rows import Row
 
-Support = FrozenSet[Row]
 AnswerTuple = Tuple[Value, ...]
+#: A fact named by a negated atom: relation name and values.
+BlockerKey = Tuple[str, Tuple[Value, ...]]
+#: The current rows of each relation, keyed by their values.
+RowsByRelation = Mapping[str, Mapping[Tuple[Value, ...], Row]]
+
+_NO_BLOCKERS: FrozenSet[BlockerKey] = frozenset()
+
+
+class Support(NamedTuple):
+    """One witness: the rows it needs in a repair and the facts it
+    needs absent from it."""
+
+    rows: FrozenSet[Row]
+    blockers: FrozenSet[BlockerKey]
 
 
 @dataclass(frozen=True)
 class ConjunctivePlan:
-    """A safe conjunctive query decomposed for witness enumeration."""
+    """A safe CQ¬ query decomposed for witness enumeration."""
 
     answer_variables: Tuple[str, ...]
     atoms: Tuple[Atom, ...]
     comparisons: Tuple[Comparison, ...]
+    negated: Tuple[Atom, ...]
 
 
 def conjunctive_plan(
@@ -70,19 +96,28 @@ def conjunctive_plan(
     """Extract a witness plan, or ``None`` if the query is out of scope.
 
     In scope: (nested) ``EXISTS`` blocks over a conjunction of positive
-    atoms, comparisons and TRUE, where every variable — quantified or
-    free — occurs in at least one atom (safety; an unsafe variable would
-    range over the repair's active domain, which is not support-local).
+    atoms, top-level ``NOT Atom`` conjuncts, comparisons and TRUE, where
+    every variable — quantified or free, including those of negated
+    atoms and comparisons — occurs in at least one positive atom
+    (safety; an unsafe variable would range over the repair's active
+    domain, which is not support-local).  A witness of the plan holds
+    in a repair iff its support rows are in it and its blockers, the
+    negated atoms' facts under its valuation, are not.  Negated
+    conjunctions, negated comparisons and nested quantifiers are out
+    of scope.
     """
     body = formula
     while isinstance(body, Exists):
         body = body.body
     atoms: List[Atom] = []
+    negated: List[Atom] = []
     comparisons: List[Comparison] = []
     parts = body.parts if isinstance(body, And) else (body,)
     for part in parts:
         if isinstance(part, Atom):
             atoms.append(part)
+        elif isinstance(part, Not) and isinstance(part.body, Atom):
+            negated.append(part.body)
         elif isinstance(part, Comparison):
             comparisons.append(part)
         elif isinstance(part, TrueFormula):
@@ -96,7 +131,9 @@ def conjunctive_plan(
         return None
     if not frozenset(answer_variables) <= atom_variables:
         return None
-    return ConjunctivePlan(tuple(answer_variables), tuple(atoms), tuple(comparisons))
+    return ConjunctivePlan(
+        tuple(answer_variables), tuple(atoms), tuple(comparisons), tuple(negated)
+    )
 
 
 def _compare(op: str, left: Value, right: Value) -> bool:
@@ -140,10 +177,14 @@ def _unify(
 
 def enumerate_witnesses(
     plan: ConjunctivePlan,
-    rows_by_relation: Mapping[str, Set[Row]],
+    rows_by_relation: RowsByRelation,
     forced: Optional[Tuple[int, Row]] = None,
 ) -> Iterator[Tuple[AnswerTuple, Support]]:
     """All (answer tuple, support) witnesses over the given rows.
+
+    Positive atoms range over the rows; each negated atom contributes
+    its fact under the valuation as a blocker key, whether or not a
+    row holds it.
 
     ``forced`` pins one atom position to one row — the semi-naive delta
     step: every witness *using* a row appears with the row forced at
@@ -175,13 +216,19 @@ def enumerate_witnesses(
     def recurse(index: int) -> Iterator[Tuple[AnswerTuple, Support]]:
         if index == len(plan.atoms):
             answer = tuple(binding[name] for name in plan.answer_variables)
-            yield answer, frozenset(support)
+            blockers = _NO_BLOCKERS
+            if plan.negated:
+                blockers = frozenset(
+                    (atom.relation, tuple(_resolve(t, binding) for t in atom.terms))
+                    for atom in plan.negated
+                )
+            yield answer, Support(frozenset(support), blockers)
             return
         atom = plan.atoms[index]
         if forced is not None and forced[0] == index:
             candidates = (forced[1],) if forced[1].relation == atom.relation else ()
         else:
-            candidates = tuple(rows_by_relation.get(atom.relation, ()))
+            candidates = tuple(rows_by_relation.get(atom.relation, {}).values())
         for row in candidates:
             introduced = _unify(atom, row, binding)
             if introduced is None:
@@ -202,12 +249,16 @@ def enumerate_witnesses(
 
 
 class WitnessIndex:
-    """Answer → supports map for one plan, maintained under updates."""
+    """Answer → supports map for one plan, maintained under updates.
+
+    Maintenance keys on support rows only; blockers are resolved by the
+    reader against the rows current at query time.
+    """
 
     def __init__(
         self,
         plan: ConjunctivePlan,
-        rows_by_relation: Mapping[str, Set[Row]],
+        rows_by_relation: RowsByRelation,
     ) -> None:
         self.plan = plan
         self._supports: Dict[AnswerTuple, Set[Support]] = {}
@@ -220,12 +271,10 @@ class WitnessIndex:
         if support in bucket:
             return
         bucket.add(support)
-        for row in support:
+        for row in support.rows:
             self._by_row.setdefault(row, set()).add((answer, support))
 
-    def apply_insert(
-        self, row: Row, rows_by_relation: Mapping[str, Set[Row]]
-    ) -> None:
+    def apply_insert(self, row: Row, rows_by_relation: RowsByRelation) -> None:
         """Account for ``row`` having been inserted (post-insert rows)."""
         for index, atom in enumerate(self.plan.atoms):
             if atom.relation != row.relation:
@@ -244,7 +293,7 @@ class WitnessIndex:
             bucket.discard(support)
             if not bucket:
                 del self._supports[answer]
-            for other in support:
+            for other in support.rows:
                 if other != row:
                     entries = self._by_row.get(other)
                     if entries is not None:

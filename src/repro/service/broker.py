@@ -17,10 +17,13 @@ rewritability analysis behind :attr:`SqlCqaEngine.last_route`:
    statement, ahead of witness-index/indexed streaming;
 2. **sqlite pushdown** — no active priority edges and the query is
    rewritable: one preference-blind SQL statement;
-3. **witness index** — the incremental engine's covering check for
-   conjunctive queries (no repair cross-product);
-4. **indexed in-memory** — per-repair streaming with hash-indexed join
-   plans, optionally sharded across the process pool of
+3. **witness index** (``witness-index``) — the incremental engine's
+   covering check for safe conjunctive queries, with or without safe
+   negated atoms (no repair cross-product);
+4. **indexed in-memory** (``indexed``) — per-repair streaming with
+   hash-indexed join plans for every other query (disjunction,
+   universal quantification, negated conjunctions, unsafe negation),
+   optionally sharded across the process pool of
    :mod:`repro.service.parallel`.
 
 Cache keys embed the instance's *component fingerprint* — the frozenset

@@ -216,6 +216,87 @@ class TestRandomisedEquivalence:
             assert_open_match(incremental, fresh, "R(u, v)", family)
 
 
+class TestBlockerUpdates:
+    """Safe negated queries: witnesses index their support rows only, and
+    a blocker row inserted or deleted later is resolved at query time."""
+
+    SUPPORT = quad(0, 0, 0, 0)
+    #: Conflicts with SUPPORT under A -> B, so SUPPORT's component has
+    #: more than one fragment.
+    RIVAL = quad(0, 2, 1, 1)
+    #: Blocks SUPPORT's witness of the first query and conflicts with it.
+    CONFLICTING_BLOCKER = quad(0, 1, 0, 0)
+    FAR_SUPPORT = quad(3, 0, 5, 9)
+    #: Blocks FAR_SUPPORT's witness of the second query; conflicts with
+    #: no row, so it sits in every repair.
+    FAR_BLOCKER = quad(5, 0, 3, 9)
+    CLOSED = [
+        "EXISTS a, c, d . R(a, 0, c, d) AND NOT R(a, 1, c, d)",
+        "EXISTS a, c, d . R(a, 0, c, d) AND NOT R(c, 0, a, d)",
+    ]
+    OPEN = [
+        "EXISTS c, d . R(a, 0, c, d) AND NOT R(a, 1, c, d)",
+        "EXISTS c, d . R(a, 0, c, d) AND NOT R(c, 0, a, d)",
+    ]
+
+    def assert_matches_fresh_engines(self, engine, declared):
+        rebuilt = IncrementalCqaEngine(engine.current_rows(), TWO_FDS, declared)
+        for family in FAMILIES:
+            for query in self.CLOSED:
+                mine = engine.answer(query, family)
+                theirs = rebuilt.answer(query, family)
+                assert mine.route == theirs.route == "witness-index"
+                assert (mine.verdict, mine.repairs_considered, mine.satisfying) == (
+                    theirs.verdict,
+                    theirs.repairs_considered,
+                    theirs.satisfying,
+                ), (family, query)
+            for query in self.OPEN:
+                mine = engine.certain_answers(query, ("a",), family)
+                theirs = rebuilt.certain_answers(query, ("a",), family)
+                assert mine.route == theirs.route == "witness-index"
+                assert (mine.certain, mine.possible, mine.repairs_considered) == (
+                    theirs.certain,
+                    theirs.possible,
+                    theirs.repairs_considered,
+                ), (family, query)
+            fresh = fresh_twin(engine, TWO_FDS, family)
+            for query in self.CLOSED:
+                assert_closed_match(engine, fresh, query, family)
+            for query in self.OPEN:
+                assert_open_match(engine, fresh, query, family, ("a",))
+
+    def test_blocker_inserts_and_deletes_match_fresh_engines(self):
+        declared = [(self.CONFLICTING_BLOCKER, self.SUPPORT)]
+        engine = IncrementalCqaEngine(
+            [self.SUPPORT, self.RIVAL, self.FAR_SUPPORT], TWO_FDS, declared
+        )
+        self.assert_matches_fresh_engines(engine, declared)
+        script = [
+            ("insert", self.CONFLICTING_BLOCKER),
+            ("insert", self.FAR_BLOCKER),
+            ("delete", self.CONFLICTING_BLOCKER),
+            ("delete", self.SUPPORT),
+            ("insert", self.CONFLICTING_BLOCKER),
+            ("insert", self.SUPPORT),
+            ("delete", self.FAR_BLOCKER),
+        ]
+        for action, row in script:
+            getattr(engine, action)(row)
+            self.assert_matches_fresh_engines(engine, declared)
+        # The indexes built before the updates answered after them.
+        assert engine.summary()["witness_indexes"] == 4
+
+    def test_blocker_outside_the_support_component_decides(self):
+        engine = IncrementalCqaEngine([self.FAR_SUPPORT], TWO_FDS)
+        query = self.CLOSED[1]
+        assert engine.answer(query).verdict is Verdict.TRUE
+        engine.insert(self.FAR_BLOCKER)
+        assert engine.answer(query).verdict is Verdict.FALSE
+        engine.delete(self.FAR_BLOCKER)
+        assert engine.answer(query).verdict is Verdict.TRUE
+
+
 class TestPriorityRevalidation:
     def test_declared_edge_deactivates_and_reactivates(self):
         winner, loser = kv(0, 1), kv(0, 0)

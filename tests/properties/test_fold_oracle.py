@@ -36,6 +36,24 @@ DISJUNCTIVE_CLOSED = parse_query(
 DISJUNCTIVE_OPEN = parse_query(
     "EXISTS b, c, d . R(a, b, c, d) AND (b = 0 OR c = d)"
 )
+#: Safe negation (CQ¬): answered from the witness index, each witness
+#: blocked by the fact its negated atom names.  The closed query's
+#: blocker always shares its support row's A → B component; the open
+#: query's blocker may sit in any component.
+NEGATED_CLOSED = parse_query(
+    "EXISTS a, c, d . R(a, 0, c, d) AND NOT R(a, 1, c, d)"
+)
+NEGATED_OPEN = parse_query(
+    "EXISTS b, c, d . R(a, b, c, d) AND NOT R(c, b, a, d)"
+)
+#: Out of the witness index's scope: an unsafe negation (``e`` is bound
+#: by no positive atom) and a negated conjunction.
+UNSAFE_NEGATION = parse_query(
+    "EXISTS a, c, d, e . R(a, 0, c, d) AND NOT R(a, 1, c, e)"
+)
+NEGATED_CONJUNCTION = parse_query(
+    "EXISTS a, c, d . R(a, 0, c, d) AND NOT (R(a, 1, c, d) AND R(a, 2, c, d))"
+)
 
 _SETTINGS = settings(
     max_examples=25,
@@ -127,3 +145,25 @@ def test_incremental_engine_matches_hand_built_fold(setting, family):
         result = engine.certain_answers(formula, ("a",))
         assert result.route == route
         _check_open(result, repairs, formula, ("a",))
+
+
+@given(setting=two_fd_priorities(max_tuples=6), family=st.sampled_from(Family))
+@_SETTINGS
+def test_incremental_engine_covers_safe_negation(setting, family):
+    instance, priority = setting
+    repairs = preferred_repairs(family, priority)
+    engine = IncrementalCqaEngine(instance, TWO_FDS, priority.edges, family)
+    for formula, route in (
+        (NEGATED_CLOSED, "witness-index"),
+        (UNSAFE_NEGATION, "indexed"),
+        (NEGATED_CONJUNCTION, "indexed"),
+    ):
+        result = engine.answer(formula)
+        assert result.route == route
+        _check_closed(result, repairs, formula)
+        assert engine.is_consistently_true(formula) is (
+            result.verdict is Verdict.TRUE
+        )
+    result = engine.certain_answers(NEGATED_OPEN, ("a",))
+    assert result.route == "witness-index"
+    _check_open(result, repairs, NEGATED_OPEN, ("a",))

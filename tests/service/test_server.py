@@ -11,9 +11,11 @@ import urllib.request
 import pytest
 
 from repro.datagen.generators import GRID_FDS, grid_instance
+from repro.incremental import IncrementalCqaEngine
 from repro.service import server as server_module
 from repro.service.broker import RequestBroker
 from repro.service.server import (
+    FAMILY_CODES,
     MAX_BODY_BYTES,
     ServiceFrontEnd,
     make_http_server,
@@ -47,6 +49,52 @@ class TestFrontEndOps:
         body = front.handle({"query": "EXISTS x, y . R(x, y)"})
         assert body["kind"] == "closed"
         assert body["verdict"] == "true"
+
+    @pytest.mark.parametrize(
+        "query, variables",
+        [
+            ("FORALL x, y . R(x, y) IMPLIES y < 1", None),
+            ("EXISTS x . R(x, 0) OR R(x, 5)", None),
+            ("EXISTS y . R(x, y) AND (y = 0 OR x = 2)", ("x",)),
+        ],
+    )
+    @pytest.mark.parametrize("code", sorted(FAMILY_CODES))
+    def test_query_outside_cq_negation_is_enumerated(
+        self, front, query, variables, code
+    ):
+        """Universal and disjunctive queries reach neither SQL nor the
+        witness index: they are served by per-repair enumeration, with
+        the engine's own answer."""
+        body = front.handle({"query": query, "family": code})
+        assert (body["engine"], body["route"]) == ("incremental", "indexed")
+        engine = IncrementalCqaEngine(grid_instance(3, 2), GRID_FDS)
+        family = FAMILY_CODES[code]
+        if variables is None:
+            direct = engine.answer(query, family)
+            assert (body["verdict"], body["repairs_considered"], body["satisfying"]) == (
+                direct.verdict.value,
+                direct.repairs_considered,
+                direct.satisfying,
+            )
+        else:
+            direct = engine.certain_answers(query, variables, family)
+            assert body["variables"] == list(variables)
+            assert sorted(map(tuple, body["certain"])) == sorted(direct.certain)
+            assert sorted(map(tuple, body["possible"])) == sorted(direct.possible)
+            assert body["repairs_considered"] == direct.repairs_considered
+        assert direct.route == "indexed"
+
+    def test_safe_negated_probe_uses_the_witness_index(self, front):
+        body = front.handle({"query": "EXISTS x . R(x, 0) AND NOT R(x, 1)"})
+        assert (body["engine"], body["route"]) == ("incremental", "witness-index")
+        direct = IncrementalCqaEngine(grid_instance(3, 2), GRID_FDS).answer(
+            "EXISTS x . R(x, 0) AND NOT R(x, 1)"
+        )
+        assert (body["verdict"], body["repairs_considered"], body["satisfying"]) == (
+            direct.verdict.value,
+            direct.repairs_considered,
+            direct.satisfying,
+        )
 
     def test_batch_with_tags(self, front):
         body = front.handle(
