@@ -99,7 +99,8 @@ def time_incremental(pairs: int, singles: int, iterations: int) -> Tuple[float, 
 def fresh_answer(rows: frozenset, priority, budget: float):
     """Rebuild a one-shot engine and answer, stopping at ``budget`` seconds.
 
-    Mirrors ``CqaEngine.answer``'s repair stream exactly; returns
+    Folds ``CqaEngine.answer``'s repair plan in the same index order,
+    checking the deadline after every repair; returns
     ``(seconds, finished, verdict)``.
     """
     formula = parse_query(QUERY)
@@ -108,7 +109,7 @@ def fresh_answer(rows: frozenset, priority, budget: float):
     engine = CqaEngine(RelationInstance(GRID_SCHEMA, rows), GRID_FDS, priority, FAMILY)
     satisfying = 0
     considered = 0
-    for repair in engine._stream_repairs(FAMILY):
+    for repair in engine._plan(FAMILY):
         considered += 1
         if evaluate(formula, repair):
             satisfying += 1

@@ -4,8 +4,12 @@ Two measurements, both on the Fig. 5 conjunctive self-join over
 Figure-4 conflict chains (the workload of ``bench_evaluator``):
 
 * **parallel speedup** — ``CqaEngine.certain_answers(..., parallel=N)``
-  shards the repair space across a process pool versus the serial
-  stream.  Answers are asserted bit-identical at every size; the >=2x
+  shards the repair space across a process pool versus the in-process
+  fold (``parallel=None``).  Both fold the same per-family repair plan,
+  so the ratio measures pool parallelism plus the context policy: the
+  in-process fold shares the engine's ``ContextCache`` (indexes and
+  join plans), while each shard builds a fresh context per repair.
+  Answers are asserted bit-identical at every size; the >=2x
   wall-clock criterion is asserted on full (non ``--smoke``) runs when
   the hardware actually has >=2 cores (a 1-core container cannot
   physically exhibit parallel speedup, so there the measured ratio is

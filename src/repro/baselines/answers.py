@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple, Union
 
 from repro.core.families import Family
-from repro.cqa.answers import OpenAnswers, fold_open
+from repro.cqa.answers import OpenAnswers
 from repro.exceptions import QueryError
 from repro.query.ast import Formula
 from repro.query.evaluator import ContextCache
@@ -46,33 +46,22 @@ def baseline_answers(
 
     ``parallel`` shards the alternatives across the service layer's
     process pool (``0`` = hardware width); merged answers are identical
-    to the serial loop.
+    to the in-process fold.
     """
     formula = parse_query(query) if isinstance(query, str) else query
     variables = tuple(
         sorted(formula.free_variables()) if variables is None else variables
     )
-    from repro.service.parallel import (
-        plan_from_fragments,
-        resolve_workers,
-        run_open,
-    )
+    from repro.service.parallel import plan_from_fragments, run_open
 
-    alternatives = (frozenset(alternative) for alternative in alternatives)
-    workers = resolve_workers(parallel)
-    if workers is not None:
-        # One pseudo-component whose fragments are the alternatives:
-        # the product over a single list enumerates exactly the pool.
-        folded = run_open(
-            plan_from_fragments([list(alternatives)]),
-            formula,
-            variables,
-            workers=workers,
-            naive=naive,
-        )
-    else:
-        cache = ContextCache(naive=naive)
-        folded = fold_open(alternatives, formula, variables, cache)
+    # One pseudo-component whose fragments are the alternatives: the
+    # product over a single list enumerates exactly the pool.
+    plan = plan_from_fragments(
+        [[frozenset(alternative) for alternative in alternatives]]
+    )
+    folded = run_open(
+        plan, formula, variables, ContextCache(naive=naive), parallel
+    )
     if folded.considered == 0:
         raise QueryError("baseline_answers() needs at least one alternative")
     return folded.to_answers(

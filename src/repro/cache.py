@@ -2,11 +2,12 @@
 
 The broker's answers and route reports, the SQL engines' routing
 decisions, the evaluator's contexts and the incremental engine's
-per-component repair sets are all kept in a :class:`BoundedCache`: a
-thread-safe mapping that holds at most ``max_entries`` values and
-evicts the least recently used one to make room.  Each cache names its
-*family*; hits, misses and evictions are counted on the instance and
-reported per family through :func:`repro.obs.observe_cache`.
+per-component repair sets and witness indexes are all kept in a
+:class:`BoundedCache`: a thread-safe mapping that holds at most
+``max_entries`` values and evicts the least recently used one to make
+room.  Each cache names its *family*; hits, misses and evictions are
+counted on the instance and reported per family through
+:func:`repro.obs.observe_cache`.
 
 Keys are content fingerprints (query texts, row sets, instance
 states), so a stale entry can never be served: it simply stops being
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Generic, Hashable, Optional, TypeVar
+from typing import Dict, Generic, Hashable, List, Optional, TypeVar
 
 from repro.obs import observe_cache
 
@@ -74,6 +75,11 @@ class BoundedCache(Generic[K, V]):
             self._entries.move_to_end(key)
         if evict:
             observe_cache(self.family, "eviction")
+
+    def values(self) -> List[V]:
+        """A snapshot of every stored value (recency is left unchanged)."""
+        with self._lock:
+            return list(self._entries.values())
 
     def clear(self) -> None:
         """Drop every entry (counters keep their totals)."""

@@ -5,22 +5,25 @@ conflict graph of an instance w.r.t. its FDs, attaches a priority,
 materializes (lazily, with caching) the preferred repairs of any family,
 and answers closed and open queries under Definition 3 semantics.
 
-The evaluation strategy mirrors the complexity results of Section 4:
-preferred consistent answering is a *counterexample search* — a closed
+Preferred consistent answering is a *counterexample search* — a closed
 query fails to be consistently true as soon as one preferred repair
-falsifies it — so repairs stream through the engine with early exit,
-and for the polynomial families (L, S, C) each candidate repair is
-admitted by its PTIME membership check before the query is evaluated.
+falsifies it — so the certainty check exits at the first falsifier.
+The repairs come from one :class:`~repro.service.parallel.ShardPlan`
+per family, built once per engine (the engine is immutable): the
+preferred fragments of each conflict-graph component, selected
+component by component, so no whole repair is ever re-checked for
+optimality.
 
 Per-repair :class:`~repro.query.evaluator.EvaluationContext` objects
 (with their lazily-built hash indexes and join plans) are cached in a
 :class:`~repro.query.evaluator.ContextCache` and shared across every
 query of one engine's lifetime; ``naive=True`` pins the engine to the
-scan-based reference evaluator instead.  Whichever repair source runs —
-the serial :meth:`CqaEngine._stream_repairs` or the sharded executor
-(``parallel=``) — its repairs go through the one Definition 3 fold in
-:mod:`repro.cqa.answers`, so both paths share counting, intersection
-and the verdict rule.
+scan-based reference evaluator instead.  Whether the plan is folded in
+this process or sharded across a pool (``parallel=``) is decided by
+:func:`~repro.service.parallel.run_closed` /
+:func:`~repro.service.parallel.run_open`, and every path goes through
+the one Definition 3 fold in :mod:`repro.cqa.answers`, so counts,
+answer sets and the counterexample agree on every path and family.
 """
 
 from __future__ import annotations
@@ -30,29 +33,20 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
+    TYPE_CHECKING,
     Tuple,
     Union,
 )
 
 from repro.obs import annotate, observe_query
-from repro.obs import span as obs_span
 
 from repro.constraints.conflict_graph import ConflictGraph, build_conflict_graph
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family, preferred_repairs
-from repro.core.optimality import is_locally_optimal, is_semi_globally_optimal
-from repro.cqa.answers import (
-    ClosedAnswer,
-    ClosedFold,
-    OpenAnswers,
-    OpenFold,
-    fold_closed,
-    fold_open,
-)
+from repro.cqa.answers import ClosedAnswer, OpenAnswers
 from repro.exceptions import QueryError
 from repro.priorities.priority import Priority, PriorityEdge
 from repro.query.ast import Formula
@@ -62,17 +56,13 @@ from repro.query.validate import parse_checked
 from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
-from repro.repairs.enumerate import enumerate_repairs, repair_sort_key
+
+if TYPE_CHECKING:
+    # The service layer imports this module, so the executor is
+    # imported where it runs.
+    from repro.service.parallel import ShardPlan
 
 Repair = FrozenSet[Row]
-
-_STREAMING_FILTERS = {
-    Family.REP: lambda repair, priority: True,
-    Family.LOCAL: lambda repair, priority: is_locally_optimal(repair, priority),
-    Family.SEMI_GLOBAL: lambda repair, priority: is_semi_globally_optimal(
-        repair, priority
-    ),
-}
 
 
 class CqaEngine:
@@ -100,6 +90,7 @@ class CqaEngine:
         self.family = family
         self.naive = naive
         self._repair_cache: Dict[Family, List[Repair]] = {}
+        self._plans: Dict[Family, ShardPlan] = {}
         self._contexts = ContextCache(naive=naive)
 
     @property
@@ -154,42 +145,21 @@ class CqaEngine:
             )
         return self._repair_cache[family]
 
-    def _stream_repairs(self, family: Family) -> Iterator[Repair]:
-        """Preferred repairs with early-exit-friendly streaming.
-
-        A stream that runs to completion has seen the whole family, so
-        it populates :attr:`_repair_cache` — repeated ``answer()`` calls
-        must not re-run Bron–Kerbosch.  Early-exited streams (a
-        counterexample was found) leave the cache untouched.
-        """
-        if family in self._repair_cache:
-            yield from self._repair_cache[family]
-            return
-        if family in _STREAMING_FILTERS:
-            accept = _STREAMING_FILTERS[family]
-            collected: List[Repair] = []
-            for repair in enumerate_repairs(self.graph):
-                if accept(repair, self.priority):
-                    collected.append(repair)
-                    yield repair
-            # Store in the deterministic order repairs() promises.
-            self._repair_cache.setdefault(
-                family, sorted(collected, key=repair_sort_key)
-            )
-            return
-        # G and C need global information; materialize through the cache.
-        yield from self.repairs(family)
-
     # Closed queries -----------------------------------------------------------
 
     def _to_formula(self, query: Union[str, Formula]) -> Formula:
         return parse_checked(query, self.database_schema)
 
-    def _shard_plan(self, family: Family):
-        """The sharded view of this engine's preferred-repair space."""
-        from repro.service.parallel import shard_plan
+    def _plan(self, family: Family) -> ShardPlan:
+        """``family``'s preferred repairs as a per-component plan,
+        built on first use (racing builds are equal; one is kept)."""
+        plan = self._plans.get(family)
+        if plan is None:
+            from repro.service.parallel import shard_plan
 
-        return shard_plan(self.graph, self.priority, family)
+            plan = shard_plan(self.graph, self.priority, family)
+            self._plans[family] = plan
+        return plan
 
     def is_consistently_true(
         self,
@@ -201,7 +171,7 @@ class CqaEngine:
 
         ``parallel`` shards the repair space across a process pool
         (``0`` = hardware width, ``1`` = shard path in-process, ``None``
-        = serial streaming); verdicts are identical on every path.
+        = fold in this process); verdicts are identical on every path.
         """
         family = family or self.family
         formula = self._to_formula(query)
@@ -210,9 +180,13 @@ class CqaEngine:
                 "closed-query CQA requires a closed formula; "
                 "use certain_answers() for open queries"
             )
-        return self._fold_closed(
-            formula, family, parallel, stop_on_false=True
-        ).counterexample is None
+        from repro.service.parallel import run_closed
+
+        folded = run_closed(
+            self._plan(family), formula, self._contexts, parallel,
+            stop_on_false=True,
+        )
+        return folded.counterexample is None
 
     def answer(
         self,
@@ -224,52 +198,24 @@ class CqaEngine:
 
         ``parallel`` routes through the sharded executor (see
         :meth:`is_consistently_true`); counts and the counterexample
-        repair match the serial stream exactly for the streaming
-        families (Rep, L, S) and agree on content for G and C.
+        repair are the same on every path.
         """
         started = time.perf_counter()
         family = family or self.family
         formula = self._to_formula(query)
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        result = self._fold_closed(formula, family, parallel).to_answer(
-            family, self._route
-        )
+        from repro.service.parallel import run_closed
+
+        result = run_closed(
+            self._plan(family), formula, self._contexts, parallel
+        ).to_answer(family, self._route)
         annotate(route=result.route, verdict=result.verdict.value)
         observe_query(
             "cqa", result.route or self._route, str(family),
             time.perf_counter() - started,
         )
         return result
-
-    def _fold_closed(
-        self,
-        formula: Formula,
-        family: Family,
-        parallel: Optional[int],
-        stop_on_false: bool = False,
-    ) -> ClosedFold:
-        """Fold ``family``'s repairs, serially or sharded."""
-        from repro.service.parallel import resolve_workers, run_closed
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            with obs_span("shard-fan-out", workers=workers):
-                return run_closed(
-                    self._shard_plan(family),
-                    formula,
-                    workers=workers,
-                    naive=self.naive,
-                    stop_on_false=stop_on_false,
-                )
-        with obs_span("stream-repairs", route=self._route):
-            folded = fold_closed(
-                self._stream_repairs(family), formula, self._contexts,
-                stop_on_false,
-            )
-            if not stop_on_false:
-                annotate(repairs=folded.considered)
-        return folded
 
     # Open queries ---------------------------------------------------------------
 
@@ -284,15 +230,17 @@ class CqaEngine:
 
         ``parallel`` shards per-repair evaluation across a process pool
         (see :meth:`is_consistently_true`); the merged answer sets are
-        bit-identical to serial streaming.
+        bit-identical to the in-process fold.
         """
         started = time.perf_counter()
         family = family or self.family
         formula = self._to_formula(query)
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
-        answers = self._fold_open(
-            formula, tuple(variables), family, parallel
+        from repro.service.parallel import run_open
+
+        answers = run_open(
+            self._plan(family), formula, variables, self._contexts, parallel
         ).to_answers(family, variables, self._route)
         annotate(route=answers.route, certain=len(answers.certain))
         observe_query(
@@ -300,34 +248,6 @@ class CqaEngine:
             time.perf_counter() - started,
         )
         return answers
-
-    def _fold_open(
-        self,
-        formula: Formula,
-        variables: Tuple[str, ...],
-        family: Family,
-        parallel: Optional[int],
-    ) -> OpenFold:
-        """Fold ``family``'s repairs' answer sets, serially or sharded."""
-        from repro.service.parallel import resolve_workers, run_open
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            with obs_span("shard-fan-out", workers=workers):
-                return run_open(
-                    self._shard_plan(family),
-                    formula,
-                    variables,
-                    workers=workers,
-                    naive=self.naive,
-                )
-        with obs_span("stream-repairs", route=self._route):
-            folded = fold_open(
-                self._stream_repairs(family), formula, variables,
-                self._contexts,
-            )
-            annotate(repairs=folded.considered)
-        return folded
 
     def sql_certain_answers(
         self,

@@ -30,25 +30,19 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
     Set,
+    TYPE_CHECKING,
     Tuple,
     Union,
 )
 
+from repro.cache import BoundedCache
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
-from repro.cqa.answers import (
-    ClosedAnswer,
-    ClosedFold,
-    OpenAnswers,
-    OpenFold,
-    fold_closed,
-    fold_open,
-)
+from repro.cqa.answers import ClosedAnswer, ClosedFold, OpenAnswers
 from repro.exceptions import CyclicPriorityError, QueryError, SchemaError
 from repro.priorities.priority import Priority, PriorityEdge, digraph_has_cycle
 from repro.query.ast import Formula
@@ -76,10 +70,18 @@ from repro.incremental.witnesses import (
     conjunctive_plan,
 )
 
+if TYPE_CHECKING:
+    # The service layer imports this module, so the executor is
+    # imported where it runs.
+    from repro.service.parallel import ShardPlan
+
 Repair = FrozenSet[Row]
 
 #: Key of a cached witness index: the formula plus the answer columns.
 _WitnessKey = Tuple[Formula, Tuple[str, ...]]
+
+#: Live witness indexes kept per engine (least recently used evicted).
+_WITNESS_INDEXES = 32
 
 
 #: Cycle check on raw (winner, loser) pairs, no graph needed — the
@@ -100,7 +102,6 @@ class IncrementalCqaEngine:
         priority: Union[Priority, Iterable[PriorityEdge], None] = None,
         family: Family = Family.REP,
         cache_entries: int = 4096,
-        witness_indexes: int = 32,
     ) -> None:
         self.dependencies = tuple(dependencies)
         self.family = family
@@ -125,10 +126,12 @@ class IncrementalCqaEngine:
         # and over; contexts are content-keyed, so unchanged repairs
         # keep their indexes and plans across updates.
         self._contexts = ContextCache(max_entries=cache_entries)
-        if witness_indexes < 1:
-            raise ValueError("witness_indexes must be positive")
-        self._max_witness_indexes = witness_indexes
-        self._witnesses: Dict[_WitnessKey, WitnessIndex] = {}
+        # Each live index pays a semi-naive join on every update, so the
+        # working set is bounded; an evicted query simply rebuilds its
+        # witnesses on next use.
+        self._witnesses: BoundedCache[_WitnessKey, WitnessIndex] = (
+            BoundedCache(_WITNESS_INDEXES, "witness_index")
+        )
         if isinstance(priority, Priority):
             declared: Tuple[PriorityEdge, ...] = tuple(priority.edges)
         else:
@@ -244,99 +247,38 @@ class IncrementalCqaEngine:
 
     def _fragment_table(
         self, family: Family
-    ) -> Tuple[List[FrozenSet[Row]], List[List[Repair]]]:
-        """Per component (deterministic order): its preferred fragments."""
-        components = self.graph.connected_components()
-        fragments = [
-            self._cache.preferred_fragments(
-                self.graph, component, family, self._component_edges(component)
-            )
-            for component in components
-        ]
-        return components, fragments
+    ) -> Tuple[List[FrozenSet[Row]], ShardPlan]:
+        """The components (deterministic order) and the plan holding
+        each one's preferred fragments, in the same order."""
+        from repro.service.parallel import plan_from_fragments
 
-    def _iterate_repairs(
-        self, fragments: List[List[Repair]]
-    ) -> Iterator[Repair]:
-        """Lazy cross-product of one fragment per component."""
-        if not fragments:
-            yield frozenset()
-            return
-        for combo in product(*fragments):
-            yield frozenset().union(*combo)
+        components = self.graph.connected_components()
+        plan = plan_from_fragments(
+            [
+                self._cache.preferred_fragments(
+                    self.graph,
+                    component,
+                    family,
+                    self._component_edges(component),
+                )
+                for component in components
+            ]
+        )
+        return components, plan
 
     def repairs(self, family: Optional[Family] = None) -> List[Repair]:
         """Materialized preferred repairs (mind the cross-product size)."""
-        _, fragments = self._fragment_table(family or self.family)
-        return sorted(self._iterate_repairs(fragments), key=repair_sort_key)
+        _, plan = self._fragment_table(family or self.family)
+        return sorted(plan, key=repair_sort_key)
 
     def count_repairs(self, family: Optional[Family] = None) -> int:
         """Number of preferred repairs, as a product over components."""
-        _, fragments = self._fragment_table(family or self.family)
-        total = 1
-        for options in fragments:
-            total *= len(options)
-        return total
+        return self._fragment_table(family or self.family)[1].total
 
     # Query plumbing -----------------------------------------------------------
 
     def _to_formula(self, query: Union[str, Formula]) -> Formula:
         return parse_checked(query, self.schema)
-
-    def _fold_closed(
-        self,
-        formula: Formula,
-        fragments: List[List[Repair]],
-        parallel: Optional[int] = None,
-        stop_on_false: bool = False,
-    ) -> ClosedFold:
-        """Evaluate per repair (the enumeration fallback), serially or
-        sharded across a process pool."""
-        from repro.service.parallel import (
-            plan_from_fragments,
-            resolve_workers,
-            run_closed,
-        )
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            return run_closed(
-                plan_from_fragments(fragments),
-                formula,
-                workers=workers,
-                stop_on_false=stop_on_false,
-            )
-        return fold_closed(
-            self._iterate_repairs(fragments), formula, self._contexts,
-            stop_on_false,
-        )
-
-    def _fold_open(
-        self,
-        formula: Formula,
-        variables: Tuple[str, ...],
-        fragments: List[List[Repair]],
-        parallel: Optional[int] = None,
-    ) -> OpenFold:
-        """Open-query counterpart of :meth:`_fold_closed`."""
-        from repro.service.parallel import (
-            plan_from_fragments,
-            resolve_workers,
-            run_open,
-        )
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            return run_open(
-                plan_from_fragments(fragments),
-                formula,
-                variables,
-                workers=workers,
-            )
-        return fold_open(
-            self._iterate_repairs(fragments), formula, variables,
-            self._contexts,
-        )
 
     def _witness_index(
         self, formula: Formula, variables: Tuple[str, ...]
@@ -349,12 +291,7 @@ class IncrementalCqaEngine:
         if plan is None:
             return None
         index = WitnessIndex(plan, self._rows_by_relation)
-        # Each live index pays a semi-naive join on every update, so the
-        # working set is bounded FIFO; an evicted query simply rebuilds
-        # its witnesses on next use.
-        if len(self._witnesses) >= self._max_witness_indexes:
-            self._witnesses.pop(next(iter(self._witnesses)))
-        self._witnesses[key] = index
+        self._witnesses.put(key, index)
         return index
 
     # Covering machinery (witness-index fast path) ----------------------------
@@ -372,7 +309,7 @@ class IncrementalCqaEngine:
         self,
         supports: Iterable[Support],
         positions: Dict[int, int],
-        fragments: List[List[Repair]],
+        fragments: Sequence[Sequence[Repair]],
     ) -> Tuple[Optional[List[int]], Optional[List[Dict[int, FrozenSet[int]]]], bool]:
         """Reduce supports to per-component fragment constraints.
 
@@ -468,7 +405,7 @@ class IncrementalCqaEngine:
     def _cluster_uncovered(
         comp_indexes: List[int],
         cluster_supports: List[Dict[int, FrozenSet[int]]],
-        fragments: List[List[Repair]],
+        fragments: Sequence[Sequence[Repair]],
         count_all: bool,
     ) -> Tuple[int, Optional[Dict[int, int]]]:
         """Uncovered choice count within one cluster (+ one witness choice).
@@ -494,7 +431,7 @@ class IncrementalCqaEngine:
         return uncovered, witness
 
     def _assemble_repair(
-        self, choices: Dict[int, int], fragments: List[List[Repair]]
+        self, choices: Dict[int, int], fragments: Sequence[Sequence[Repair]]
     ) -> Repair:
         """A full repair from per-component fragment choices (default 0)."""
         parts = [
@@ -539,18 +476,19 @@ class IncrementalCqaEngine:
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
         with obs_span("plan"):
-            components, fragments = self._fragment_table(family)
-        total = 1
-        for options in fragments:
-            total *= len(options)
+            components, plan = self._fragment_table(family)
+        total = plan.total
         if total == 0:
             # Cannot happen for P1-respecting families; defensive only.
             return ClosedFold(0, 0).to_answer(family, "witness-index")
         index = self._witness_index(formula, ())
         if index is None:
+            from repro.service.parallel import run_closed
+
             with obs_span("enumerate-repairs", route=self._route):
-                folded = self._fold_closed(formula, fragments, parallel)
+                folded = run_closed(plan, formula, self._contexts, parallel)
                 return folded.to_answer(family, self._route)
+        fragments = plan.fragments
         with obs_span("witness-cover"):
             relevant, compat, always = self._compatibility(
                 index.supports_for(()),
@@ -595,11 +533,16 @@ class IncrementalCqaEngine:
                 "closed-query CQA requires a closed formula; "
                 "use certain_answers() for open queries"
             )
-        components, fragments = self._fragment_table(family)
+        components, plan = self._fragment_table(family)
         index = self._witness_index(formula, ())
         if index is None:
-            folded = self._fold_closed(formula, fragments, stop_on_false=True)
+            from repro.service.parallel import run_closed
+
+            folded = run_closed(
+                plan, formula, self._contexts, stop_on_false=True
+            )
             return folded.counterexample is None
+        fragments = plan.fragments
         relevant, compat, always = self._compatibility(
             index.supports_for(()),
             self._component_positions(components),
@@ -654,16 +597,17 @@ class IncrementalCqaEngine:
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
         with obs_span("plan"):
-            components, fragments = self._fragment_table(family)
-        total = 1
-        for options in fragments:
-            total *= len(options)
+            components, plan = self._fragment_table(family)
+        total = plan.total
         index = self._witness_index(formula, tuple(variables))
         if index is None or total == 0:
+            from repro.service.parallel import run_open
+
             with obs_span("enumerate-repairs", route=self._route):
-                return self._fold_open(
-                    formula, tuple(variables), fragments, parallel
+                return run_open(
+                    plan, formula, variables, self._contexts, parallel
                 ).to_answers(family, variables, self._route)
+        fragments = plan.fragments
         certain: Set[Tuple] = set()
         possible: Set[Tuple] = set()
         with obs_span("witness-cover"):

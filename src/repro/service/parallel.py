@@ -1,26 +1,35 @@
-"""Sharded parallel execution of repair-space query evaluation.
+"""The one repair source: preferred repairs as per-component shard plans.
 
 Repairs are maximal independent sets of the conflict graph, and those
 factor through its connected components: every repair is the union of
 the conflict-free base (singleton components) with exactly one *repair
 fragment* per conflicted component.  A :class:`ShardPlan` captures that
-product structure — the base row set plus one fragment list per
-component, in the exact order the serial engines enumerate — so the
-repair space becomes an addressable integer range ``[0, total)`` under
-the mixed-radix encoding of :func:`itertools.product` (last component
-varies fastest).
+product structure — the base row set plus one fragment tuple per
+component — so the repair space becomes an addressable integer range
+``[0, total)`` under the mixed-radix encoding of
+:func:`itertools.product` (last component varies fastest).  Every
+engine that answers by visiting repairs folds a plan: ``CqaEngine``
+keeps one per family, the incremental engine builds one from its
+per-component fragment table, and the baselines fold their
+alternatives as a one-component plan.
 
-Parallel evaluation shards that range into contiguous chunks executed
-by a :mod:`multiprocessing` pool.  Task payloads are pickle-safe by
-construction: fragments are transmitted as index tuples into a shared
-row table (the component content fingerprints the incremental caches
-key on), and :class:`~repro.relational.rows.Row` itself reconstructs
-through its schema on unpickle.  Workers rebuild each repair from its
-index and fold their range with the same Definition 3 fold the serial
-engines use (:func:`~repro.cqa.answers.fold_closed` /
-:func:`~repro.cqa.answers.fold_open`, with the indexed or ``naive``
-evaluator and one fresh context per repair).  Each shard returns its
-range's :class:`~repro.cqa.answers.ClosedFold` or
+:func:`run_closed` and :func:`run_open` are the only code that decides
+how a plan is folded, and both fold it with the one Definition 3 fold
+(:func:`~repro.cqa.answers.fold_closed` /
+:func:`~repro.cqa.answers.fold_open`).  With ``parallel=None`` the
+plan is iterated in index order in the calling process, and each
+repair is evaluated through the caller's
+:class:`~repro.query.evaluator.ContextCache`, so indexes and join
+plans carry over between queries (span ``stream-repairs``).  With
+``parallel>=1`` (``0`` = hardware width) the range is cut into
+contiguous chunks executed by a :mod:`multiprocessing` pool (span
+``shard-fan-out``); ``parallel=1`` runs the same shard code
+in-process, so the pool path is differentially testable without a
+pool.  Task payloads are pickle-safe: fragments are row sets, and
+:class:`~repro.relational.rows.Row` reconstructs through its schema on
+unpickle.  Workers rebuild each repair from its index and evaluate it
+in a fresh context (the cache stays in the parent process).  Each shard
+returns its range's :class:`~repro.cqa.answers.ClosedFold` or
 :class:`~repro.cqa.answers.OpenFold`, a mergeable partial:
 
 * closed queries — (considered, satisfying, first falsifier and its index);
@@ -28,14 +37,9 @@ range's :class:`~repro.cqa.answers.ClosedFold` or
 
 The merge is deterministic: counts add, answer sets intersect/union
 (orderless), and the counterexample is the repair at the *smallest*
-falsifying index.  Counts and answer sets equal the serial engine's
-for every family.  For the streaming families (Rep, L, S) the shard
-plan lists repairs in the serial stream's order, so the counterexample
-is the serial stream's first falsifier; for G and C the order may
-differ, and the counterexample agrees on content (a preferred repair
-falsifying the query) rather than identity.  ``workers=1`` executes
-the same shard code in-process, so the parallel path is exercised (and
-differentially testable) without a pool.
+falsifying index — the repair the in-process fold meets first.  Every
+``parallel`` setting therefore returns the same counts, answer sets
+and counterexample, for every family.
 """
 
 from __future__ import annotations
@@ -45,22 +49,27 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.constraints.conflict_graph import ConflictGraph
 from repro.core.families import Family, select_preferred
 from repro.cqa.answers import ClosedFold, OpenFold, fold_closed, fold_open
-from repro.obs import REGISTRY, Span, current_tracer, trace
+from repro.obs import REGISTRY, Span, annotate, current_tracer, trace
+from repro.obs import span as obs_span
 from repro.priorities.priority import Priority
 from repro.query.ast import Formula
+from repro.query.evaluator import ContextCache
 from repro.relational.rows import Row
 from repro.repairs.enumerate import _component_repairs, repair_sort_key
 
@@ -84,12 +93,12 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """The preferred-repair space factored for sharding.
+    """The preferred-repair space factored per component.
 
     ``base`` holds the rows present in every repair; ``fragments`` is
-    one tuple of repair fragments per conflicted component, listed in
-    the exact order serial enumeration visits them, so the repair at
-    product index ``i`` is the serial stream's ``i``-th repair.
+    one tuple of repair fragments per component.  Iterating a plan
+    yields its repairs in index order: the repair at product index
+    ``i`` is the ``i``-th one visited.
     """
 
     base: FrozenSet[Row]
@@ -106,6 +115,11 @@ class ShardPlan:
     def repair_at(self, index: int) -> Repair:
         """The repair at one product index (mixed-radix decode)."""
         return _assemble(self.base, self.fragments, index)
+
+    def __iter__(self) -> Iterator[Repair]:
+        """Every repair, in index order."""
+        for parts in product(*self.fragments):
+            yield self.base.union(*parts)
 
 
 def _assemble(
@@ -131,10 +145,11 @@ def shard_plan(
     confined to one component, ≪-lifting compares inside components,
     and Algorithm 1 steps in distinct components commute.  Fragments
     are produced in :func:`~repro.repairs.enumerate.enumerate_repairs`
-    order and filtered per component, which preserves the serial
-    stream order for the streaming families (Rep, L, S): filtering a
-    lexicographic product coordinate-wise yields the product of the
-    filtered coordinate lists in the same lexicographic order.
+    order and filtered per component, so for Rep, L and S the index
+    order is ``enumerate_repairs`` order with the non-preferred repairs
+    left out: filtering a lexicographic product coordinate-wise yields
+    the product of the filtered coordinate lists in the same
+    lexicographic order.
     """
     fixed: List[Row] = []
     fragment_lists: List[Tuple[Repair, ...]] = []
@@ -154,16 +169,15 @@ def shard_plan(
     return ShardPlan(frozenset(fixed), tuple(fragment_lists))
 
 
-def plan_from_fragments(
-    fragments: Sequence[Sequence[Repair]],
-    base: FrozenSet[Row] = frozenset(),
-) -> ShardPlan:
+def plan_from_fragments(fragments: Sequence[Sequence[Repair]]) -> ShardPlan:
     """A :class:`ShardPlan` over explicit fragment lists.
 
     Used by the incremental engine (whose per-component fragment table
-    already exists) and by callers sharding a flat repair list (pass it
+    already exists) and by callers folding a flat repair list (pass it
     as a single pseudo-component)."""
-    return ShardPlan(base, tuple(tuple(options) for options in fragments))
+    return ShardPlan(
+        frozenset(), tuple(tuple(options) for options in fragments)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +245,28 @@ def _eval_shard(
     stop_on_false: bool,
 ):
     shard_started = time.perf_counter()
-    repairs = (
-        _assemble(base, fragments, index) for index in range(start, stop)
+    folded = _fold_repairs(
+        (_assemble(base, fragments, index) for index in range(start, stop)),
+        formula, variables, None, naive, stop_on_false, start,
     )
-    if variables is None:
-        folded = fold_closed(
-            repairs, formula, stop_on_false=stop_on_false, naive=naive,
-            start=start,
-        )
-    else:
-        folded = fold_open(repairs, formula, variables, naive=naive)
     return folded, time.perf_counter() - shard_started
+
+
+def _fold_repairs(
+    repairs: Iterable[Repair],
+    formula: Formula,
+    variables: Optional[Tuple[str, ...]],
+    contexts: Optional[ContextCache],
+    naive: bool,
+    stop_on_false: bool,
+    start: int = 0,
+) -> Union[ClosedFold, OpenFold]:
+    """The closed (``variables is None``) or open fold of ``repairs``."""
+    if variables is None:
+        return fold_closed(
+            repairs, formula, contexts, stop_on_false, naive, start
+        )
+    return fold_open(repairs, formula, variables, contexts, naive)
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +403,39 @@ def _tasks_for(
 def run_closed(
     plan: ShardPlan,
     formula: Formula,
-    workers: int = 1,
-    naive: bool = False,
+    contexts: Optional[ContextCache] = None,
+    parallel: Optional[int] = None,
     stop_on_false: bool = False,
 ) -> ClosedFold:
-    """Closed-query fold over the sharded repair space.
+    """Fold a closed query over the plan's repairs.
 
-    With ``stop_on_false`` each shard abandons its range at the first
-    falsifying repair (counts are then lower bounds — enough for the
-    boolean certainty check); otherwise counts are exact and the
-    counterexample is the serial stream's first falsifier.
+    ``contexts`` supplies the per-repair evaluation contexts of an
+    in-process fold (``None``: a fresh indexed context per repair) and,
+    through its ``naive`` flag, the evaluator the shards use.  With
+    ``stop_on_false`` the fold (each shard, when sharded) abandons its
+    range at the first falsifying repair (counts are then lower bounds
+    — enough for the boolean certainty check); otherwise counts are
+    exact.  Either way the counterexample is the falsifier at the
+    smallest index.
     """
     return ClosedFold.merge(
-        _run_plan(plan, formula, None, workers, naive, stop_on_false)
+        _run_plan(plan, formula, None, contexts, parallel, stop_on_false)
     )
 
 
 def run_open(
     plan: ShardPlan,
     formula: Formula,
-    variables: Tuple[str, ...],
-    workers: int = 1,
-    naive: bool = False,
+    variables: Sequence[str],
+    contexts: Optional[ContextCache] = None,
+    parallel: Optional[int] = None,
 ) -> OpenFold:
-    """Certain/possible answer sets over the sharded repair space."""
+    """Certain/possible answer sets over the plan's repairs (see
+    :func:`run_closed` for ``contexts`` and ``parallel``)."""
     return OpenFold.merge(
-        _run_plan(plan, formula, tuple(variables), workers, naive, False)
+        _run_plan(
+            plan, formula, tuple(variables), contexts, parallel, False
+        )
     )
 
 
@@ -411,24 +443,38 @@ def _run_plan(
     plan: ShardPlan,
     formula: Formula,
     variables: Optional[Tuple[str, ...]],
-    workers: int,
-    naive: bool,
+    contexts: Optional[ContextCache],
+    parallel: Optional[int],
     stop_on_false: bool,
 ) -> List:
-    """Fan the plan's shards out and return their folds, in index order."""
-    results = _map_tasks(
-        _tasks_for(plan, formula, variables, workers, naive, stop_on_false),
-        workers,
-    )
-    _graft_shards(results)
+    """Fold the plan in-process or fan its shards out; returns the
+    folds in index order."""
+    naive = contexts is not None and contexts.naive
+    workers = resolve_workers(parallel)
+    if workers is None:
+        with obs_span("stream-repairs", route="naive" if naive else "indexed"):
+            folded = _fold_repairs(
+                plan, formula, variables, contexts, naive, stop_on_false
+            )
+            if not stop_on_false:
+                annotate(repairs=folded.considered)
+        return [folded]
+    with obs_span("shard-fan-out", workers=workers):
+        results = _map_tasks(
+            _tasks_for(
+                plan, formula, variables, workers, naive, stop_on_false
+            ),
+            workers,
+        )
+        _graft_shards(results)
     _record_shards([result[1] for result in results])
     return [result[0] for result in results]
 
 
 def resolve_workers(parallel: Optional[int]) -> Optional[int]:
-    """Normalize an engine's ``parallel`` argument.
+    """Normalize a ``parallel`` argument to a worker count.
 
-    ``None`` keeps the serial code path; ``0`` means "hardware width";
+    ``None`` folds in-process; ``0`` means "hardware width";
     positive values are taken literally.  Negative values are invalid.
     """
     if parallel is None:

@@ -152,49 +152,43 @@ class TestEngineMechanics:
         assert engine.repairs() == [consistent.rows]
 
 
-class TestStreamCaching:
-    """A fully-consumed repair stream must populate the repair cache."""
+class TestPlanCaching:
+    """Each family's repair plan is built once per engine and reused."""
 
-    @pytest.mark.parametrize(
-        "family", [Family.REP, Family.LOCAL, Family.SEMI_GLOBAL]
-    )
-    def test_full_consumption_populates_cache(self, family, monkeypatch):
+    @pytest.mark.parametrize("family", list(Family))
+    def test_reanswering_reuses_the_plan(self, family, monkeypatch):
         scenario, engine = mgr_engine(family)
-        assert family not in engine._repair_cache
-        first = engine.answer(Q1_TEXT)  # consumes the whole stream
-        assert family in engine._repair_cache
-        assert engine._repair_cache[family] == engine.repairs(family)
+        first = engine.answer(Q1_TEXT)
 
         # Re-answering must not re-run Bron-Kerbosch.
-        import repro.cqa.engine as engine_module
+        import repro.service.parallel as parallel_module
 
         def forbid(*args, **kwargs):  # pragma: no cover - assertion hook
-            raise AssertionError("enumerate_repairs re-ran on a cached family")
+            raise AssertionError("component repairs re-ran on a cached plan")
 
-        monkeypatch.setattr(engine_module, "enumerate_repairs", forbid)
+        monkeypatch.setattr(parallel_module, "_component_repairs", forbid)
         second = engine.answer(Q1_TEXT)
-        # The counterexample may be a different (equally valid) falsifying
-        # repair once the cached order is used; the semantics must agree.
-        assert (second.verdict, second.repairs_considered, second.satisfying) == (
-            first.verdict,
-            first.repairs_considered,
-            first.satisfying,
-        )
+        assert second == first
+        assert second.counterexample == first.counterexample
         assert engine.is_consistently_true(Q1_TEXT) == (
             first.verdict is Verdict.TRUE
         )
 
-    def test_cached_order_matches_repairs_contract(self):
-        _, engine = mgr_engine(Family.REP)
-        engine.answer(Q1_TEXT)
-        cached = engine._repair_cache[Family.REP]
+    @pytest.mark.parametrize("family", list(Family))
+    def test_plan_matches_repairs_contract(self, family):
         from repro.core.families import preferred_repairs
+        from repro.repairs.enumerate import repair_sort_key
 
-        assert cached == preferred_repairs(Family.REP, engine.priority)
+        _, engine = mgr_engine(family)
+        engine.answer(Q1_TEXT)
+        expected = preferred_repairs(family, engine.priority)
+        assert engine.repairs(family) == expected
+        assert sorted(engine._plan(family), key=repair_sort_key) == expected
 
-    def test_early_exit_leaves_cache_empty(self):
-        """is_consistently_true stops at the first counterexample; a
-        partial stream must not be mistaken for the full family."""
+    def test_early_exit_then_full_answer_counts_every_repair(self):
+        """is_consistently_true stops at the first counterexample; the
+        answer that follows still folds the whole family."""
         _, engine = mgr_engine(Family.REP)
         assert not engine.is_consistently_true(Q1_TEXT)  # falsified early
-        assert Family.REP not in engine._repair_cache
+        full = engine.answer(Q1_TEXT)
+        assert full.repairs_considered == len(engine.repairs(Family.REP))

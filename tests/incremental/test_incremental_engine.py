@@ -384,6 +384,20 @@ class TestEngineMechanics:
         assert stats["misses"] == misses_before + 2
         assert stats["hits"] > 0
 
+    def test_recently_used_witness_index_survives_further_builds(self):
+        """Witness indexes are evicted least recently used: a query asked
+        between builds keeps its index through 32 further ones."""
+        engine = IncrementalCqaEngine(
+            [kv(0, 0), kv(0, 1), kv(1, 0)], GRID_FDS
+        )
+        hot = engine._to_formula("EXISTS x . R(x, 0)")
+        index = engine._witness_index(hot, ())
+        for threshold in range(32):
+            engine.answer(f"EXISTS x, y . R(x, y) AND y > {threshold}")
+            engine.answer(hot)
+        assert engine.summary()["witness_indexes"] == 32
+        assert engine._witness_index(hot, ()) is index
+
     def test_summary_reports_incremental_state(self):
         engine = IncrementalCqaEngine(
             [kv(0, 0), kv(0, 1), kv(1, 0)], GRID_FDS, [(kv(0, 0), kv(0, 1))]

@@ -1,24 +1,27 @@
 """Property tests: sharded execution is deterministic and serial-identical.
 
-The satellite contract of the service PR: for random instances and
-priorities across all five repair families, ``parallel=1`` (shard path
-in-process), ``parallel=4`` (process pool) and the plain serial engines
-agree on certain/possible answers and closed verdicts — and broker
+For random instances and priorities across all five repair families,
+``parallel=1`` (shard path in-process), ``parallel=4`` (process pool)
+and the in-process fold (``parallel=None``) agree on certain/possible
+answers, closed verdicts, counts and counterexamples — and broker
 cache hits reproduce the original result bit for bit, including the
 ``route`` provenance.
 """
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.constraints.conflict_graph import build_conflict_graph
 from repro.core.families import Family
 from repro.cqa.engine import CqaEngine
 from repro.incremental.engine import IncrementalCqaEngine
+from repro.priorities.priority import Priority
 from repro.query.parser import parse_query
+from repro.relational.instance import RelationInstance
 
-from tests.conftest import TWO_FDS, two_fd_priorities
+from tests.conftest import TWO_FD_SCHEMA, TWO_FDS, two_fd_priorities
 
 #: Small but join-heavy: a dirty self-join plus a disjunctive tail, so
 #: both the witness path and the enumeration fallback get exercised.
@@ -28,6 +31,21 @@ OPEN_QUERY = parse_query(
 CLOSED_QUERY = parse_query(
     "EXISTS a, b1, b2, c1, c2, d1, d2 . "
     "R(a, b1, c1, d1) AND R(a, b2, c2, d2) AND b1 != b2"
+)
+
+#: Three conflict components with several G-preferred fragments each:
+#: listing G-Rep in ``repair_sort_key`` order rather than the plan's
+#: index order changes which falsifying repair comes first.
+_G_ORDER_INSTANCE = RelationInstance.from_values(
+    TWO_FD_SCHEMA,
+    [
+        (0, 0, 0, 1), (0, 1, 0, 1), (0, 2, 0, 1),
+        (1, 0, 0, 0), (1, 2, 0, 2), (1, 2, 2, 1),
+    ],
+)
+_G_ORDER_SETTING = (
+    _G_ORDER_INSTANCE,
+    Priority(build_conflict_graph(_G_ORDER_INSTANCE, TWO_FDS), ()),
 )
 
 _SETTINGS = settings(
@@ -53,6 +71,7 @@ def test_parallel_one_and_four_match_serial_open(setting, family):
 
 
 @given(setting=two_fd_priorities(max_tuples=6), family=st.sampled_from(Family))
+@example(setting=_G_ORDER_SETTING, family=Family.GLOBAL)
 @_SETTINGS
 def test_parallel_one_and_four_match_serial_closed(setting, family):
     instance, priority = setting
@@ -65,14 +84,9 @@ def test_parallel_one_and_four_match_serial_closed(setting, family):
         assert merged.verdict == expected.verdict
         assert merged.repairs_considered == expected.repairs_considered
         assert merged.satisfying == expected.satisfying
-    if family in (Family.REP, Family.LOCAL, Family.SEMI_GLOBAL):
-        # Streaming families keep the serial stream order exactly.
-        assert one.counterexample == expected.counterexample
-        assert four.counterexample == expected.counterexample
-    elif expected.counterexample is not None:
-        from repro.query.evaluator import evaluate
-
-        assert not evaluate(CLOSED_QUERY, four.counterexample)
+        # Every path folds the same plan, so the first falsifier in
+        # index order is the same repair for every family.
+        assert merged.counterexample == expected.counterexample
 
 
 @given(setting=two_fd_priorities(max_tuples=6), family=st.sampled_from(Family))

@@ -1,10 +1,10 @@
 """Unit tests for the sharded executor (`repro.service.parallel`).
 
 The core contract: for every repair family, the shard plan's indexed
-product space enumerates exactly the serial engines' preferred repairs
-(in the serial stream order for the streaming families), and the merged
-shard results are bit-identical to serial evaluation — with one chunk,
-with many in-process chunks, and through a real process pool.
+product space enumerates exactly the family's preferred repairs (in
+``enumerate_repairs`` order for Rep), and the merged shard results are
+bit-identical to the in-process fold — with one chunk, with many
+in-process chunks, and through a real process pool.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class TestMergedExecution:
         serial = CqaEngine(instance, CHAIN_FDS)
         expected = serial.certain_answers(OPEN, ("a",))
         plan = shard_plan(serial.graph, serial.priority, Family.REP)
-        merged = run_open(plan, OPEN, ("a",), workers=workers)
+        merged = run_open(plan, OPEN, ("a",), parallel=workers)
         assert merged.certain == expected.certain
         assert merged.possible == expected.possible
         assert merged.considered == expected.repairs_considered
@@ -146,7 +146,7 @@ class TestMergedExecution:
         serial = CqaEngine(instance, CHAIN_FDS)
         expected = serial.answer(CLOSED)
         plan = shard_plan(serial.graph, serial.priority, Family.REP)
-        merged = run_closed(plan, CLOSED, workers=workers)
+        merged = run_closed(plan, CLOSED, parallel=workers)
         assert merged.considered == expected.repairs_considered
         assert merged.satisfying == expected.satisfying
         assert merged.counterexample == expected.counterexample
@@ -156,7 +156,7 @@ class TestMergedExecution:
         engine = CqaEngine(instance, CHAIN_FDS)
         formula = parse_query("EXISTS x, y, z, w . R(x, y, z, w) AND x > 100")
         plan = shard_plan(engine.graph, engine.priority, Family.REP)
-        merged = run_closed(plan, formula, workers=2, stop_on_false=True)
+        merged = run_closed(plan, formula, parallel=2, stop_on_false=True)
         assert merged.counterexample is not None
         from repro.query.evaluator import evaluate
 

@@ -103,6 +103,16 @@ class TestBoundedCache:
             "test_family,eviction": 1.0,
         }
 
+    def test_values_is_a_snapshot_that_keeps_recency(self):
+        cache = BoundedCache(2, "test")
+        cache.put("a", 1)
+        cache.put("b", 2)
+        values = cache.values()
+        assert values == [1, 2]
+        cache.put("c", 3)  # "a" is still least recently used
+        assert values == [1, 2]
+        assert cache.get("a") is None and cache.values() == [2, 3]
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             BoundedCache(0, "test")
