@@ -88,8 +88,16 @@ def apply_seed(args) -> int:
     return seed
 
 
+#: Fewest samples a route needs before its p95 is written: below that
+#: the 95th percentile of a handful of queries is their maximum, one
+#: garbage-collection pause.
+P95_MIN_SAMPLES = 40
+
+
 def query_latency_summary() -> dict:
-    """p50/p95 query latencies per route from the process registry.
+    """Per-route query latencies from the process registry: the p50,
+    plus the p95 for routes with at least :data:`P95_MIN_SAMPLES`
+    queries.
 
     Engines record every answered query into the shared
     ``repro_query_seconds`` histogram family, so any bench that runs
@@ -104,14 +112,13 @@ def query_latency_summary() -> dict:
     family = REGISTRY.snapshot().get("repro_query_seconds")
     if not family:
         return {}
-    return {
-        route or "all": {
-            "count": entry["count"],
-            "p50_s": entry["p50"],
-            "p95_s": entry["p95"],
-        }
-        for route, entry in family["values"].items()
-    }
+    summary = {}
+    for route, entry in family["values"].items():
+        latency = {"count": entry["count"], "p50_s": entry["p50"]}
+        if entry["count"] >= P95_MIN_SAMPLES:
+            latency["p95_s"] = entry["p95"]
+        summary[route or "all"] = latency
+    return summary
 
 
 def emit_result(module_file: str, payload: dict) -> str:
@@ -120,8 +127,8 @@ def emit_result(module_file: str, payload: dict) -> str:
     ``<name>`` is the bench module's stem without the ``bench_`` prefix
     (``bench_evaluator.py`` → ``BENCH_evaluator.json``).  The payload is
     wrapped with run metadata — wall-clock timestamp, python version,
-    smoke/seed configuration, and the p50/p95 per-route query latencies
-    the metrics registry observed during the run — so successive CI
+    smoke/seed configuration, and the per-route query latencies the
+    metrics registry observed during the run — so successive CI
     runs accumulate a machine-readable perf trajectory.  Returns the
     file path.
     """

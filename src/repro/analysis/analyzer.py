@@ -16,8 +16,7 @@ The one place the routing rules of every engine live:
 
 Everything except the duplicate-row set is data-independent; callers
 that know their instance pass ``duplicate_row_relations`` (the engines
-compute it once per theory change, the broker's report cache keys on
-it), so a cached report stays exact.
+compute it once per theory change), so a cached report stays exact.
 
 Blocking order per engine reproduces each engine's historical check
 order: the theory gate (RA302 / RA303) fires *before* shape analysis,

@@ -25,11 +25,17 @@ anything (the C_forest recognition, the statically-empty plan).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+
+# CPython's builtin SHA-256: hashlib would map OpenSSL (~3.5 MB
+# resident) for this one digest.
+try:  # CPython 3.12+
+    from _sha2 import sha256
+except ImportError:  # CPython 3.10 / 3.11
+    from _sha256 import sha256
 
 #: Engine identifiers a diagnostic can block / a report can route.
 SQLITE = "sqlite"
@@ -279,9 +285,6 @@ class RouteReport:
     def blocked(self, engine: str) -> bool:
         return any(d.blocks_engine(engine) for d in self.diagnostics)
 
-    def route_for(self, engine: str) -> str:
-        return self.routes[engine]
-
     def expected_last_route(self, engine: str) -> str:
         """The exact ``last_route`` string the engine would record."""
         blocking = self.blocking(engine)
@@ -310,4 +313,4 @@ class RouteReport:
 def theory_fingerprint(payload: Mapping[str, object]) -> str:
     """A stable hex digest of a JSON-serializable description."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,21 +1,20 @@
 """A lazily refreshed SQLite mirror of a mutating instance.
 
-``repro session`` keeps one :class:`~repro.incremental.engine.
-IncrementalCqaEngine` alive while a script inserts and deletes tuples.
-With ``--backend sqlite`` the session additionally maintains this
-mirror: an (in-memory by default) SQLite database that is re-saved from
-the engine's current state the first time a query arrives after an
-update, so rewritable queries run pushed down while updates stay
-incremental.  Refreshes are O(instance), queries are index-backed; a
-burst of updates between two queries costs one refresh.
+The service broker keeps one :class:`~repro.incremental.engine.
+IncrementalCqaEngine` per database while requests insert and delete
+tuples (``repro serve``, ``repro session``).  With pushdown enabled it
+also keeps this mirror: an (in-memory by default) SQLite database that
+is re-saved from the engine's current state the first time a query
+arrives after an update, so rewritable queries run pushed down while
+updates stay incremental.  Refreshes are O(instance), queries are
+index-backed; a burst of updates between two queries costs one refresh.
 
 The mirror also hosts the preference-aware pushdown
 (:mod:`repro.prefsql`): :meth:`pref_engine_for` hands out a
 :class:`~repro.prefsql.engine.PrefSqlCqaEngine` whose conflict/edge
 side tables live on the mirror connection.  Because a re-save
-reassigns rowids, every refresh invalidates the preference engine and
-runs the registered *refresh hooks* — the incremental-maintenance
-seam the side tables hang off.
+reassigns rowids, every refresh drops the preference engine; the next
+:meth:`pref_engine_for` rebuilds its side tables.
 
 Every write to the connection happens in :meth:`engine_for` and
 :meth:`pref_engine_for`: the re-save, and the preference engine's
@@ -28,15 +27,7 @@ per-database mirror lock) concurrent readers may share the connection.
 from __future__ import annotations
 
 import sqlite3
-from typing import (
-    Callable,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Union
 
 from repro.backend.engine import SqlCqaEngine
 from repro.constraints.fd import FunctionalDependency
@@ -44,9 +35,6 @@ from repro.core.families import Family
 from repro.priorities.priority import PriorityEdge
 from repro.relational.database import Database
 from repro.relational.sqlite_io import save_database
-
-#: A refresh hook: called with the mirror connection after each re-save.
-RefreshHook = Callable[[sqlite3.Connection], None]
 
 
 class SqliteMirror:
@@ -69,19 +57,6 @@ class SqliteMirror:
         self._engine: Optional[SqlCqaEngine] = None
         self._pref_engine = None
         self._pref_edges: Optional[FrozenSet[PriorityEdge]] = None
-        self._refresh_hooks: List[RefreshHook] = []
-        # The preference side tables reference rowids, which a re-save
-        # reassigns; their maintenance hangs off the hook mechanism so
-        # additional maintainers (diagnostics, caches) can join it.
-        self.add_refresh_hook(self._invalidate_pref_engine)
-
-    def add_refresh_hook(self, hook: RefreshHook) -> None:
-        """Run ``hook(connection)`` after every re-save of the mirror.
-
-        The preference layer uses this to re-materialize its side
-        tables once the rowids they reference have been reassigned.
-        """
-        self._refresh_hooks.append(hook)
 
     def mark_dirty(self) -> None:
         """Record that the source instance changed since the last refresh."""
@@ -92,12 +67,6 @@ class SqliteMirror:
         """Whether the next :meth:`engine_for` will re-save the source."""
         return self._dirty or self._engine is None
 
-    def _invalidate_pref_engine(
-        self, connection: sqlite3.Connection
-    ) -> None:
-        self._pref_engine = None
-        self._pref_edges = None
-
     def _refresh(
         self, database: Union[Database, Callable[[], Database]]
     ) -> None:
@@ -107,8 +76,10 @@ class SqliteMirror:
         self._engine = SqlCqaEngine(
             self._connection, self.dependencies, family=self.family
         )
-        for hook in self._refresh_hooks:
-            hook(self._connection)
+        # The preference side tables reference rowids, which the
+        # re-save reassigned.
+        self._pref_engine = None
+        self._pref_edges = None
         self._dirty = False
 
     def engine_for(

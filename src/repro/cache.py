@@ -1,6 +1,6 @@
 """The bounded cache every memo in the system is built on.
 
-The broker's answers and route reports, the SQL engines' routing
+The broker's answers and work units, the SQL engines' routing
 decisions, the evaluator's contexts and the incremental engine's
 per-component repair sets and witness indexes are all kept in a
 :class:`BoundedCache`: a thread-safe mapping that holds at most

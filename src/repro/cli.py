@@ -577,28 +577,33 @@ def _parse_session_values(schema, payload: str):
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
-    """Run a ``+``/``-``/``?`` update-and-query script incrementally."""
+    """Run a ``+``/``-``/``?`` update-and-query script through a broker."""
     import json
 
+    from repro.cqa.answers import ClosedAnswer
     from repro.exceptions import ReproError
-    from repro.incremental import IncrementalCqaEngine
     from repro.relational.rows import Row
+    from repro.service.broker import RequestBroker
 
     instance, dependencies, graph, priority = _build_setting(args)
     family = _FAMILY_CODES[args.family]
-    engine = IncrementalCqaEngine(instance, dependencies, priority.edges, family)
     orient = _session_orientation_rule(args)
     schema = instance.schema
-    mirror = None
-    if getattr(args, "backend", "memory") == "sqlite":
-        from repro.backend import SqliteMirror
-
-        mirror = SqliteMirror(dependencies, family)
     if args.script and args.script != "-":
         with open(args.script, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     else:
         lines = sys.stdin.readlines()
+    # The session is one registered database: rewritable queries run
+    # on the SQLite mirror with --backend sqlite unless a priority is
+    # active (prioritized reads stay in memory, as with prefsql off).
+    broker = RequestBroker()
+    name = broker.register(
+        schema.name, instance, dependencies, priority.edges, family,
+        sqlite_pushdown=args.backend == "sqlite",
+        prefsql_pushdown=False,
+    )
+    engine = broker.engine(name)
     events = []
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -608,16 +613,14 @@ def _cmd_session(args: argparse.Namespace) -> int:
         try:
             if op == "+":
                 values = _parse_session_values(schema, payload)
-                if mirror is not None:
-                    mirror.mark_dirty()
-                delta = engine.insert(Row(schema, values))
+                delta = broker.insert(Row(schema, values), name)
                 if orient is not None:
                     # Extend the declared priority to the new conflicts,
                     # mirroring what --prefer-* did for the initial load.
                     for pair in delta.added_edges:
                         oriented = orient(*tuple(pair))
                         if oriented is not None:
-                            engine.prefer(*oriented)
+                            broker.prefer(*oriented, name)
                 events.append(
                     {
                         "op": "insert",
@@ -631,9 +634,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
                 )
             elif op == "-":
                 values = _parse_session_values(schema, payload)
-                if mirror is not None:
-                    mirror.mark_dirty()
-                delta = engine.delete(Row(schema, values))
+                delta = broker.delete(Row(schema, values), name)
                 events.append(
                     {
                         "op": "delete",
@@ -646,58 +647,36 @@ def _cmd_session(args: argparse.Namespace) -> int:
                     }
                 )
             elif op == "?":
-                from repro.query.parser import parse_query
-
-                formula = parse_query(payload)
-                # Route rewritable queries through the SQLite mirror;
-                # declared priorities or non-rewritable shapes stay on
-                # the incremental engine (which reuses its caches).
-                target = engine
-                backend_used = "memory"
-                if mirror is not None and not engine.active_priority_edges():
-                    sql_engine = mirror.engine_for(engine.current_database())
-                    if sql_engine.explain(formula).pushed:
-                        target = sql_engine
-                        backend_used = "sqlite"
-                if formula.is_closed:
-                    answer = target.answer(formula)
-                    events.append(
-                        {
-                            "op": "query",
-                            "line": number,
-                            "query": payload,
-                            "family": str(family),
-                            "backend": backend_used,
-                            "verdict": answer.verdict.value,
-                            "repairs_considered": answer.repairs_considered,
-                            "satisfying": answer.satisfying,
-                        }
+                served = broker.query(payload, database=name)
+                result = served.outcome
+                event = {
+                    "op": "query",
+                    "line": number,
+                    "query": payload,
+                    "family": str(family),
+                    "backend": "sqlite" if served.engine == "sqlite" else "memory",
+                }
+                if isinstance(result, ClosedAnswer):
+                    event.update(
+                        verdict=result.verdict.value,
+                        repairs_considered=result.repairs_considered,
+                        satisfying=result.satisfying,
                     )
                 else:
-                    result = target.certain_answers(formula)
-                    events.append(
-                        {
-                            "op": "query",
-                            "line": number,
-                            "query": payload,
-                            "family": str(family),
-                            "backend": backend_used,
-                            "variables": list(result.variables),
-                            "certain": list(
-                                map(list, _sorted_answers(result.certain))
-                            ),
-                            "possible": list(
-                                map(list, _sorted_answers(result.possible))
-                            ),
-                            "repairs_considered": result.repairs_considered,
-                        }
+                    event.update(
+                        variables=list(result.variables),
+                        certain=list(map(list, _sorted_answers(result.certain))),
+                        possible=list(map(list, _sorted_answers(result.possible))),
+                        repairs_considered=result.repairs_considered,
                     )
+                events.append(event)
             else:
                 raise SystemExit(
                     f"line {number}: expected '+', '-' or '?', got {line!r}"
                 )
         except ReproError as exc:
             raise SystemExit(f"line {number}: {exc}")
+    broker.close()
     if args.json:
         print(json.dumps({"events": events, "summary": engine.summary()}, default=str))
     else:
@@ -1282,9 +1261,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Load an instance, then apply a script (file via --script, or "
             "stdin) of lines: '+ v1, v2, ...' inserts a tuple, "
             "'- v1, v2, ...' deletes one, '? QUERY' answers a first-order "
-            "query (closed: verdict; open: certain answers).  One "
-            "IncrementalCqaEngine serves the whole session, so repeated "
-            "queries reuse per-component repair caches across updates."
+            "query (closed: verdict; open: certain answers).  The session "
+            "is one database on the service broker, so repeated queries "
+            "hit its answer cache and reuse per-component repair caches "
+            "across updates."
         ),
     )
     _add_data_arguments(session)
@@ -1301,7 +1281,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="memory",
         help=(
             "query backend: sqlite keeps a lazily refreshed SQLite mirror "
-            "and answers rewritable queries by SQL pushdown"
+            "and answers rewritable queries by SQL pushdown while no "
+            "priority is active"
         ),
     )
     session.set_defaults(handler=_cmd_session)

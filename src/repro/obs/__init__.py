@@ -113,8 +113,8 @@ def observe_cache(
     """Record a cache event: ``event`` is "hit", "miss", or "eviction".
 
     ``cache`` names the family of a :class:`~repro.cache.BoundedCache`:
-    "answer" (broker result cache), "route_report" (broker route
-    analyses), "sql_decision" / "prefsql_decision" (the SQL engines'
+    "answer" (broker result cache), "route_report" (broker work
+    units: checked formula, route analysis and target), "sql_decision" / "prefsql_decision" (the SQL engines'
     routing decisions), "context" (evaluator contexts),
     "component_repair" (incremental per-component repair and preferred
     fragments), or "component_graph" (their induced subgraphs).

@@ -8,23 +8,30 @@ in-flight work — same database state, query, family, answer columns —
 is computed once and shared across the batch, and results are memoized
 in a bounded, content-keyed :class:`AnswerCache`.
 
-Routing picks the cheapest capable engine per query, reusing the
-rewritability analysis behind :attr:`SqlCqaEngine.last_route`:
+Each request text becomes one cached *work unit*, keyed by database,
+text, answer columns, active-priority state and schema version: the
+formula parsed and schema-checked once, the normalized answer columns,
+and the route.  A repeated text reaches the answer-cache key with no
+parse, schema check or analysis.  One route ladder (:meth:`RequestBroker.
+_target`) picks the engine from the registration, the active priority
+and the unit's :class:`~repro.analysis.RouteReport`; serving,
+:meth:`~RequestBroker.backend_of`, :meth:`~RequestBroker.analyze` and
+the flight recorder all read it, so the predicted route is the served
+route by construction:
 
-1. **prefsql pushdown** — active priority edges and the query is
-   rewritable: the preference-aware winnow rewriting
-   (:mod:`repro.prefsql`) answers prioritized families in one SQL
-   statement, ahead of witness-index/indexed streaming;
-2. **sqlite pushdown** — no active priority edges and the query is
-   rewritable: one preference-blind SQL statement;
-3. **witness index** (``witness-index``) — the incremental engine's
-   covering check for safe conjunctive queries, with or without safe
-   negated atoms (no repair cross-product);
-4. **indexed in-memory** (``indexed``) — per-repair streaming with
-   hash-indexed join plans for every other query (disjunction,
-   universal quantification, negated conjunctions, unsafe negation),
-   optionally sharded across the process pool of
-   :mod:`repro.service.parallel`.
+1. **prefsql pushdown** — a mirror, prefsql enabled, active priority
+   edges, and a query the analysis does not block: the
+   preference-aware winnow rewriting (:mod:`repro.prefsql`) answers
+   prioritized families in one SQL statement;
+2. **sqlite pushdown** — a mirror, no active priority edges, and a
+   query the analysis does not block: one preference-blind SQL
+   statement;
+3. **incremental** — everything else, and pushed queries whose engine
+   probe finds data-dependent blocking (duplicate rows): the witness
+   index (``witness-index``) covers safe conjunctive queries, with or
+   without safe negated atoms, and hash-indexed per-repair streaming
+   (``indexed``) every other query, optionally sharded across the
+   process pool of :mod:`repro.service.parallel`.
 
 Cache keys embed the instance's *component fingerprint* — the frozenset
 of conflict-graph component vertex sets — plus the *priority
@@ -293,6 +300,24 @@ class _Entry:
     priority_fingerprint: Optional[FrozenSet[PriorityEdge]] = None
 
 
+@dataclass
+class _WorkUnit:
+    """One request text, checked and routed once.
+
+    ``formula`` is parsed and schema-checked, ``variables`` are the
+    normalized answer columns, ``active`` the priority state the unit
+    was routed under, ``target`` the engine the route ladder chose and
+    ``report`` the static route analysis (computed when the ladder or a
+    caller first needs it).
+    """
+
+    formula: Formula
+    variables: Tuple[str, ...]
+    active: FrozenSet[PriorityEdge]
+    target: str = "incremental"
+    report: Optional[RouteReport] = None
+
+
 class RequestBroker:
     """Routes, deduplicates and memoizes batched CQA requests."""
 
@@ -310,11 +335,10 @@ class RequestBroker:
         self._default: Optional[str] = None
         self._lock = threading.Lock()
         self.cache = AnswerCache(cache_entries)
-        # Static route reports are data-independent (modulo the active
-        # priority edges, which key them), so one analysis serves every
-        # request of the same (database, query, columns, priority
-        # state) — route decisions stop costing per-request work.
-        self._route_reports: BoundedCache[Tuple, RouteReport] = BoundedCache(
+        # Parsing, schema checks and routing are data-independent
+        # (modulo the active priority edges and the schema, which key
+        # them), so one work unit serves every request of the same text.
+        self._units: BoundedCache[Tuple, _WorkUnit] = BoundedCache(
             1024, "route_report"
         )
         #: Worker count forwarded to the engines' enumeration paths
@@ -416,19 +440,6 @@ class RequestBroker:
 
     # Serving ------------------------------------------------------------------
 
-    def _normalize(
-        self, entry: _Entry, request: Request
-    ) -> Tuple[Formula, Tuple[str, ...], Family]:
-        formula = entry.engine._to_formula(request.query)
-        family = request.family or entry.family
-        if request.variables is not None:
-            variables = tuple(request.variables)
-        elif formula.is_closed:
-            variables = ()
-        else:
-            variables = tuple(sorted(formula.free_variables()))
-        return formula, variables, family
-
     def _fingerprint(self, entry: _Entry) -> FrozenSet[Component]:
         if entry.fingerprint is None:
             entry.fingerprint = entry.engine.graph.component_set()
@@ -439,118 +450,128 @@ class RequestBroker:
             entry.priority_fingerprint = entry.engine.active_priority_edges()
         return entry.priority_fingerprint
 
-    def _route_report(
-        self,
-        entry: _Entry,
-        formula: Formula,
-        variables: Tuple[str, ...],
-        active: FrozenSet[PriorityEdge],
-    ) -> RouteReport:
-        """The cached static route analysis for one work unit.
+    def _unit(self, entry: _Entry, request: Request) -> _WorkUnit:
+        """The cached work unit of one request text.
 
-        Keyed by query + theory fingerprint: schema and dependencies are
-        fixed per registration, so ``(database, formula, columns,
-        active-priority state)`` pins everything the analysis reads.
+        Keyed by ``(database, text, columns, active-priority state,
+        relation count)``: a relation insert may add to the schema (a
+        conflicting re-declaration raises instead), so the relation
+        count versions it.  A miss parses and schema-checks the text
+        and routes it once; a hit costs one lookup."""
+        active = self._priority_fingerprint(entry)
+        variables = (
+            tuple(request.variables) if request.variables is not None else None
+        )
+        key = (
+            entry.name, request.query, variables, active,
+            len(entry.engine.schema),
+        )
+        unit = self._units.get(key)
+        if unit is None:
+            formula = entry.engine._to_formula(request.query)
+            if variables is None:
+                variables = (
+                    () if formula.is_closed
+                    else tuple(sorted(formula.free_variables()))
+                )
+            unit = _WorkUnit(formula, variables, active)
+            unit.target = self._target(entry, active, unit)
+            self._units.put(key, unit)
+        return unit
+
+    def _report(self, entry: _Entry, unit: _WorkUnit) -> RouteReport:
+        """The unit's static route analysis, computed on first read.
+
         Duplicate-row blocking is data-dependent and deliberately *not*
         predicted here — the prefsql engine's own probe stays
         authoritative for it."""
-        key = (entry.name, formula, variables, active)
-        report = self._route_reports.get(key)
-        if report is None:
-            report = analyze_routes(
+        if unit.report is None:
+            unit.report = analyze_routes(
                 entry.engine.schema,
                 entry.engine.dependencies,
-                formula,
-                variables,
-                priority=tuple(active),
+                unit.formula,
+                unit.variables,
+                priority=tuple(unit.active),
             )
-            self._route_reports.put(key, report)
-        return report
+        return unit.report
+
+    def _target(
+        self,
+        entry: _Entry,
+        active: FrozenSet[PriorityEdge],
+        unit: Optional[_WorkUnit] = None,
+    ) -> str:
+        """The route ladder: the engine that serves a read of ``entry``
+        under the ``active`` priority edges — ``"prefsql"``,
+        ``"sqlite"`` or ``"incremental"``.
+
+        Without a ``unit`` it answers for a query the analysis blocks
+        nowhere (:meth:`backend_of`); with one, a statically blocked
+        query skips the mirror entirely: no refresh, no pushed-engine
+        construction, no probe."""
+        if entry.mirror is None or (active and not entry.prefsql_pushdown):
+            return "incremental"
+        target = "prefsql" if active else "sqlite"
+        if unit is not None and self._report(entry, unit).blocked(target):
+            return "incremental"
+        return target
 
     @property
     def route_report_hits(self) -> int:
-        return self._route_reports.stats()["hits"]
+        return self._units.stats()["hits"]
 
     @property
     def route_report_misses(self) -> int:
-        return self._route_reports.stats()["misses"]
+        return self._units.stats()["misses"]
 
     def _execute(
-        self,
-        entry: _Entry,
-        formula: Formula,
-        variables: Tuple[str, ...],
-        family: Family,
+        self, entry: _Entry, unit: _WorkUnit, family: Family
     ) -> Tuple[Outcome, str, str]:
-        """Run one unit of work on the cheapest capable engine."""
+        """Run one work unit on the engine its route names."""
         with entry.meta_lock:
             entry.queries += 1
-        if entry.mirror is not None:
-            active = self._priority_fingerprint(entry)
-            if active and entry.prefsql_pushdown:
-                target: Optional[str] = "prefsql"
-            elif active:
-                target = None  # prefsql disabled: stream in memory
-            else:
-                target = "sqlite"
-            if target is not None:
-                # Statically blocked queries skip the mirror entirely:
-                # no refresh, no pushed-engine construction, no probe.
-                # The report predicts exactly what explain() would say
-                # for every data-independent condition.
-                report = self._route_report(entry, formula, variables, active)
-                if report.blocked(target):
-                    target = None
-            pushed_engine = None
-            engine_label = "incremental"
+        formula, variables = unit.formula, unit.variables
+        closed = formula.is_closed and not variables
+        if unit.target != "incremental":
             # Lazy snapshot: assembling the Database is O(instance), so
             # hand the mirror a supplier it only calls when dirty.
             # Refresh and engine construction serialize on mirror_lock;
             # the pushed SQL below runs concurrently across readers.
-            if target == "prefsql":
-                with entry.mirror_lock:
+            with entry.mirror_lock:
+                if unit.target == "prefsql":
                     pushed_engine = entry.mirror.pref_engine_for(
-                        entry.engine.current_database, active
+                        entry.engine.current_database, unit.active
                     )
-                engine_label = "prefsql"
-            elif target == "sqlite":
-                with entry.mirror_lock:
+                else:
                     pushed_engine = entry.mirror.engine_for(
                         entry.engine.current_database
                     )
-                engine_label = "sqlite"
-            if pushed_engine is not None:
-                # The pushed section only reads: every side and survivor
-                # table was built under mirror_lock above.  On SQLite
-                # builds without serialized threading even concurrent
-                # reads of one connection must serialize, on the mirror
-                # lock.
-                guard = (
-                    contextlib.nullcontext()
-                    if _SQLITE_SERIALIZED
-                    else entry.mirror_lock
-                )
-                # Key the routing probe exactly like the execution call
-                # (closed queries decide under ()), and under the
-                # request's family, so one cached decision serves both.
-                probe_variables: Optional[Tuple[str, ...]] = (
-                    () if formula.is_closed and not variables else variables
-                )
-                with guard:
-                    outcome: Optional[Outcome] = None
-                    if pushed_engine.explain(
-                        formula, probe_variables, family=family
-                    ).pushed:
-                        if formula.is_closed and not variables:
-                            outcome = pushed_engine.answer(formula, family)
-                        else:
-                            outcome = pushed_engine.certain_answers(
-                                formula, variables, family
-                            )
-                if outcome is not None:
-                    return outcome, engine_label, outcome.route or engine_label
+            # The pushed section only reads: every side and survivor
+            # table was built under mirror_lock above.  On SQLite builds
+            # without serialized threading even concurrent reads of one
+            # connection must serialize, on the mirror lock.
+            guard = (
+                contextlib.nullcontext()
+                if _SQLITE_SERIALIZED
+                else entry.mirror_lock
+            )
+            with guard:
+                # The probe is keyed exactly like the execution call
+                # (closed queries decide under ()) and under the
+                # request's family, so one cached decision serves both;
+                # only it sees data-dependent (duplicate-row) blocking.
+                outcome: Optional[Outcome] = None
+                if pushed_engine.explain(formula, variables, family=family).pushed:
+                    if closed:
+                        outcome = pushed_engine.answer(formula, family)
+                    else:
+                        outcome = pushed_engine.certain_answers(
+                            formula, variables, family
+                        )
+            if outcome is not None:
+                return outcome, unit.target, outcome.route or unit.target
         with entry.compute_lock:
-            if formula.is_closed and not variables:
+            if closed:
                 outcome = entry.engine.answer(formula, family, self.parallel)
             else:
                 outcome = entry.engine.certain_answers(
@@ -599,15 +620,14 @@ class RequestBroker:
             entry = self._entry(request.database)
             started = time.perf_counter()
             with entry.rw.read():
-                formula, variables, family = self._normalize(entry, request)
-                fingerprint = self._fingerprint(entry)
-                priority_fingerprint = self._priority_fingerprint(entry)
+                unit = self._unit(entry, request)
+                family = request.family or entry.family
                 key = (
                     entry.name,
-                    fingerprint,
-                    priority_fingerprint,
-                    formula,
-                    variables,
+                    self._fingerprint(entry),
+                    unit.active,
+                    unit.formula,
+                    unit.variables,
                     family,
                 )
                 if key in in_flight:
@@ -639,15 +659,13 @@ class RequestBroker:
                 # record the analysis layer's fingerprint and blocking
                 # diagnostics lazily (dropped records never pay for it).
                 capture = RECORDER.capture(
-                    str(formula),
+                    str(unit.formula),
                     database=entry.name,
-                    report_provider=lambda: self._route_report(
-                        entry, formula, variables, priority_fingerprint
-                    ),
+                    report_provider=lambda: self._report(entry, unit),
                 )
                 with capture:
                     outcome, engine_label, route = self._execute(
-                        entry, formula, variables, family
+                        entry, unit, family
                     )
                     capture.note(
                         engine=engine_label, route=route, family=str(family)
@@ -682,33 +700,22 @@ class RequestBroker:
     ) -> RouteReport:
         """Static route analysis of one query — nothing executes.
 
-        Returns the same cached :class:`~repro.analysis.model.
-        RouteReport` the broker consults when serving, so the
-        diagnostics seen here are exactly the routing the next
-        ``submit`` of the same query will follow.
+        Returns the report of the same cached work unit the broker
+        routes by when serving, so the diagnostics seen here are exactly
+        the routing the next ``submit`` of the same query will follow.
         """
         entry = self._entry(database)
         with entry.rw.read():
-            formula, norm_variables, _ = self._normalize(
-                entry, Request(query, family, variables, database)
-            )
-            active = self._priority_fingerprint(entry)
-            return self._route_report(entry, formula, norm_variables, active)
+            unit = self._unit(entry, Request(query, family, variables, database))
+            return self._report(entry, unit)
 
     # Diagnostics --------------------------------------------------------------
 
     def backend_of(self, database: Optional[str] = None) -> str:
-        """The engine a read-only query of ``database`` routes to first:
-        ``"prefsql"``, ``"sqlite"`` or ``"incremental"``."""
+        """The engine a rewritable read-only query of ``database`` is
+        served by: ``"prefsql"``, ``"sqlite"`` or ``"incremental"``."""
         entry = self._entry(database)
-        if entry.mirror is None:
-            return "incremental"
-        if (
-            entry.prefsql_pushdown
-            and self._priority_fingerprint(entry)
-        ):
-            return "prefsql"
-        return "sqlite"
+        return self._target(entry, self._priority_fingerprint(entry))
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """All three cache families, uniformly shaped.
@@ -755,7 +762,7 @@ class RequestBroker:
             },
             "batches": self.batches,
             "deduplicated": self.deduplicated,
-            "route_reports": self._route_reports.stats(),
+            "route_reports": self._units.stats(),
             "concurrent_reads": sum(
                 entry.rw.concurrent_reads for entry in self._entries.values()
             ),

@@ -45,7 +45,6 @@ and counterexample, for every family.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -284,6 +283,9 @@ def _pool(workers: int) -> "multiprocessing.pool.Pool":
     """
     pool = _POOLS.get(workers)
     if pool is None:
+        # Imported here: serial serving never loads multiprocessing.
+        import multiprocessing
+
         # Never plain fork: the first pool is often created lazily from
         # a broker/HTTP request thread, and forking a multi-threaded
         # process can inherit locks mid-acquisition.  forkserver forks

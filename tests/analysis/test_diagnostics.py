@@ -407,6 +407,15 @@ class TestFingerprint:
             != _analyze(query, FDS, priority=priority).fingerprint
         )
 
+    def test_digest_is_sha256_of_the_canonical_json(self):
+        import hashlib
+
+        from repro.analysis.model import theory_fingerprint
+
+        payload = {"b": [1, "x"], "a": None}
+        canonical = b'{"a":null,"b":[1,"x"]}'
+        assert theory_fingerprint(payload) == hashlib.sha256(canonical).hexdigest()
+
 
 class TestReportShape:
     def test_to_dict_is_json_ready(self):

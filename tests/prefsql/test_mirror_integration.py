@@ -33,18 +33,6 @@ EDGE_B = (_row("k0", 2, "z"), _row("k0", 1, "y"))
 
 
 class TestRefreshHooks:
-    def test_custom_hook_runs_on_every_refresh(self):
-        observed = []
-        with SqliteMirror(FDS) as mirror:
-            mirror.add_refresh_hook(lambda connection: observed.append(1))
-            mirror.engine_for(_database())
-            assert observed == [1]
-            mirror.engine_for(_database())  # clean: no refresh
-            assert observed == [1]
-            mirror.mark_dirty()
-            mirror.engine_for(_database())
-            assert observed == [1, 1]
-
     def test_refresh_invalidates_the_pref_engine(self):
         with SqliteMirror(FDS) as mirror:
             first = mirror.pref_engine_for(_database(), [EDGE_A])

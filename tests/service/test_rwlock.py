@@ -136,9 +136,9 @@ class TestBrokerReadConcurrency:
         barrier = threading.Barrier(2, timeout=10)
         original = RequestBroker._execute
 
-        def rendezvous(self, entry, formula, variables, family):
+        def rendezvous(self, *args):
             barrier.wait()
-            return original(self, entry, formula, variables, family)
+            return original(self, *args)
 
         RequestBroker._execute = rendezvous
         try:

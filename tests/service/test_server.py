@@ -395,3 +395,30 @@ class TestServeCli:
                     "A -> B",
                 ]
             )
+
+
+def test_the_front_end_loads_no_http_pool_or_openssl_stack():
+    """Serving in-process never imports http.server (and through it
+    ssl), multiprocessing or OpenSSL's hashlib: each costs resident
+    memory only an HTTP server, a worker pool or a TLS client needs."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro.service.server\n"
+        "print(sorted(name for name in"
+        " ('http.server', 'multiprocessing', 'ssl', '_hashlib')"
+        " if name in sys.modules))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": source},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert completed.stdout.strip() == "[]"

@@ -92,6 +92,49 @@ class TestCompare:
         assert any("(new)" in line for line in lines)
         assert any("(absent)" in line for line in lines)
 
+    def test_p95_missing_on_either_side_is_skipped(self, tmp_path):
+        committed = _write(
+            tmp_path, "a.json", {"q": {"p50_s": 0.01, "p95_s": 0.02}}
+        )
+        fresh = _write(tmp_path, "b.json", {"q": {"p50_s": 0.01}})
+        for before, after in ((committed, fresh), (fresh, committed)):
+            lines, warnings = compare_file(before, after)
+            assert not warnings
+            assert not any("p95" in line for line in lines)
+            assert any("q.p50_s" in line for line in lines)
+
+
+class TestLatencySummary:
+    def test_p95_is_written_only_for_routes_with_enough_samples(
+        self, monkeypatch
+    ):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[2] / "benchmarks")
+        )
+        import _cli
+
+        from repro.obs import REGISTRY
+
+        def entry(count):
+            return {"count": count, "p50": 0.001, "p95": 0.002}
+
+        snapshot = {
+            "repro_query_seconds": {
+                "values": {
+                    "sqlite": entry(_cli.P95_MIN_SAMPLES),
+                    "indexed": entry(_cli.P95_MIN_SAMPLES - 1),
+                }
+            }
+        }
+        monkeypatch.setattr(REGISTRY, "snapshot", lambda: snapshot)
+        summary = _cli.query_latency_summary()
+        assert summary["sqlite"] == {
+            "count": _cli.P95_MIN_SAMPLES, "p50_s": 0.001, "p95_s": 0.002,
+        }
+        assert summary["indexed"] == {
+            "count": _cli.P95_MIN_SAMPLES - 1, "p50_s": 0.001,
+        }
+
 
 class TestMain:
     @pytest.fixture

@@ -17,7 +17,8 @@ metric classes get **regression warnings** at a 2x threshold:
   per-cell rates of ``BENCH_serve_scale.json``) warn the same way when
   throughput halves;
 * ``*p95*`` latency metrics (lower is better) warn when the fresh value
-  exceeds twice the committed one.
+  exceeds twice the committed one.  A p95 missing on either side is
+  skipped: the harness writes one only for routes with enough samples.
 
 Exit status is 0 even with warnings — the CI step is informational —
 unless ``--strict`` is given (then warnings exit 1).  Missing files on
@@ -87,6 +88,8 @@ def compare_file(
     lines: List[str] = []
     warnings: List[str] = []
     for metric in sorted(set(base) | set(new)):
+        if _is_p95(metric) and (metric not in base or metric not in new):
+            continue
         if metric not in base:
             lines.append(f"  {metric}: (new) {new[metric]:g}")
             continue
