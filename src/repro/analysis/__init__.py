@@ -3,10 +3,11 @@
 The single source of truth for route decisions: every fallback
 condition the engines enforce is a catalogued :class:`Diagnostic`, and
 :func:`analyze` predicts — without touching instance data — the route
-each engine takes, as a cacheable :class:`RouteReport`.
+each engine takes, as a cacheable :class:`RouteReport`, on top of a
+:class:`Theory` digested once per theory.
 """
 
-from .analyzer import analyze, profiled_relations
+from .analyzer import Theory, analyze, profiled_relations
 from .cforest import CForest, plan_forest, recognize_c_forest
 from .model import (
     CATALOG,
@@ -34,6 +35,7 @@ __all__ = [
     "RouteReport",
     "Severity",
     "Span",
+    "Theory",
     "analyze",
     "classify",
     "dirty_profile",

@@ -1,6 +1,14 @@
-"""`analyze(schema, fds, priority, query) -> RouteReport`.
+"""`analyze(schema, fds, query, variables, *, priority, ...) -> RouteReport`.
 
-The one place the routing rules of every engine live:
+Analysis has two halves.  A :class:`Theory` (schema, FDs, priority
+edges, duplicate-row relations) is digested once: its canonical digest
+and its prioritized profiled relations do not depend on the query.
+:func:`analyze` does the query-dependent work on top of it — classify
+the formula and predict every engine's route.  One-shot callers pass the
+four theory parts and the theory is built inline; a server that keeps
+one ``Theory`` per database state passes it as ``theory=``.
+
+This module is the one place the routing rules of every engine live:
 
 * **memory** (:class:`repro.cqa.engine.CqaEngine`): always streams;
   route ``"naive"`` or ``"indexed"``.
@@ -27,14 +35,15 @@ engine's ``last_route`` string bit-for-bit.
 
 from __future__ import annotations
 
+import json
 from typing import (
     AbstractSet,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from repro.constraints.fd import FunctionalDependency
@@ -52,7 +61,7 @@ from .model import (
     theory_fingerprint,
 )
 from .profiles import NotRewritable, dirty_profile
-from .shapes import Classification, classify
+from .shapes import classify
 
 
 def profiled_relations(
@@ -74,49 +83,68 @@ def profiled_relations(
     return frozenset(usable)
 
 
-def _priority_relations(priority_edges: Sequence) -> FrozenSet[str]:
-    names = set()
-    for preferred, dominated in priority_edges:
-        names.add(preferred.relation)
-        names.add(dominated.relation)
-    return frozenset(names)
+def _canonical(items: Iterable) -> List:
+    """``items`` sorted by their JSON: one order whatever the hash seed
+    or the mix of value types."""
+    return sorted(items, key=lambda item: json.dumps(item, sort_keys=True))
 
 
-def _fingerprint(
-    schema: DatabaseSchema,
-    dependencies: Sequence[FunctionalDependency],
-    priority_edges: Sequence,
-    duplicate_row_relations: AbstractSet[str],
-    formula: Formula,
-    variables: Optional[Sequence[str]],
-    naive: bool,
-) -> str:
-    return theory_fingerprint(
-        {
-            "schema": [
-                [
-                    relation.name,
-                    [[a.name, a.type.value] for a in relation.attributes],
-                ]
-                for relation in schema
-            ],
-            "fds": sorted(
-                [fd.relation, sorted(fd.lhs), sorted(fd.rhs)]
-                for fd in dependencies
-            ),
-            "priority": sorted(
-                [
-                    [preferred.relation, list(preferred.values)],
-                    [dominated.relation, list(dominated.values)],
-                ]
-                for preferred, dominated in priority_edges
-            ),
-            "duplicates": sorted(duplicate_row_relations),
-            "query": str(formula),
-            "variables": list(variables) if variables is not None else None,
-            "naive": naive,
-        }
+class Theory:
+    """The query-independent half of an analysis, digested once.
+
+    Holds the schema, the FDs, the ``(preferred, dominated)`` priority
+    edges and the prioritized relations whose stored rows are not
+    physically unique.  ``digest`` is a canonical SHA-256 of all four,
+    independent of set iteration order; ``prioritized`` names the
+    relations that carry priority edges and a usable conflict profile
+    (the ones the prefsql engine orients).  A server keeps one per
+    database state, so :func:`analyze` does only query work per text.
+    """
+
+    __slots__ = (
+        "schema", "dependencies", "priority", "duplicate_row_relations",
+        "prioritized", "digest",
     )
+
+    def __init__(
+        self,
+        schema: DatabaseSchema,
+        dependencies: Sequence[FunctionalDependency],
+        priority: Sequence = (),
+        duplicate_row_relations: AbstractSet[str] = frozenset(),
+    ) -> None:
+        self.schema = schema
+        self.dependencies = tuple(dependencies)
+        self.priority = tuple(priority)
+        self.duplicate_row_relations = frozenset(duplicate_row_relations)
+        self.prioritized = profiled_relations(
+            schema,
+            self.dependencies,
+            {row.relation for edge in self.priority for row in edge},
+        )
+        self.digest = theory_fingerprint(
+            {
+                "schema": _canonical(
+                    [
+                        relation.name,
+                        [[a.name, a.type.value] for a in relation.attributes],
+                    ]
+                    for relation in schema
+                ),
+                "fds": _canonical(
+                    [fd.relation, sorted(fd.lhs), sorted(fd.rhs)]
+                    for fd in self.dependencies
+                ),
+                "priority": _canonical(
+                    [
+                        [preferred.relation, list(preferred.values)],
+                        [dominated.relation, list(dominated.values)],
+                    ]
+                    for preferred, dominated in self.priority
+                ),
+                "duplicates": sorted(self.duplicate_row_relations),
+            }
+        )
 
 
 def _locate(diagnostic: Diagnostic, query_text: Optional[str]) -> Diagnostic:
@@ -140,6 +168,7 @@ def analyze(
     duplicate_row_relations: AbstractSet[str] = frozenset(),
     naive: bool = False,
     query_text: Optional[str] = None,
+    theory: Optional[Theory] = None,
 ) -> RouteReport:
     """Classify the quadruple and predict every engine's route.
 
@@ -147,15 +176,24 @@ def analyze(
     (the spelling of :class:`repro.priorities.priority.Priority` edges);
     ``duplicate_row_relations`` names prioritized relations whose stored
     rows are not physically unique (the prefsql engine streams those).
-    Raises :class:`repro.exceptions.QueryBindingError` for answer
-    variables not free in the formula, like every engine does.
+    A caller that keeps a :class:`Theory` of exactly this schema,
+    dependencies, priority and duplicate set passes it as ``theory``
+    instead, and only the query is analyzed; one-shot callers leave it
+    out and the theory is built here.  Raises
+    :class:`repro.exceptions.QueryBindingError` for answer variables not
+    free in the formula, like every engine does.
     """
-    classification = classify(query, schema, dependencies, variables)
+    if theory is None:
+        theory = Theory(
+            schema, dependencies, priority, duplicate_row_relations
+        )
+    classification = classify(
+        query, theory.schema, theory.dependencies, variables
+    )
     text = query_text if query_text is not None else str(query)
 
     diagnostics: List[Diagnostic] = []
-    prioritized_all = _priority_relations(priority)
-    if prioritized_all:
+    if theory.priority:
         # SqlCqaEngine refuses *any* declared priority, before it even
         # looks at the query.
         diagnostics.append(make_diagnostic("RA302"))
@@ -164,7 +202,7 @@ def analyze(
     # mention set, even inside non-conjunctive constructs — with its
     # blocked/prioritized maps, and that check precedes shape analysis.
     mentioned = relations_of(query)
-    duplicated = sorted(mentioned & set(duplicate_row_relations))
+    duplicated = sorted(mentioned & theory.duplicate_row_relations)
     if duplicated:
         # PrefSqlCqaEngine reports min() of the blocked intersection.
         diagnostics.append(
@@ -178,12 +216,7 @@ def analyze(
     # pushed engines compile it), anything else as blocking RA201.
     diagnostics.extend(classification.diagnostics)
 
-    prioritized_mentioned = tuple(
-        sorted(
-            mentioned
-            & profiled_relations(schema, dependencies, prioritized_all)
-        )
-    )
+    prioritized_mentioned = tuple(sorted(mentioned & theory.prioritized))
     routes: Dict[str, str] = {
         MEMORY: "naive" if naive else "indexed",
         SQLITE: "sqlite",
@@ -192,18 +225,18 @@ def analyze(
 
     return RouteReport(
         query=text,
-        fingerprint=_fingerprint(
-            schema,
-            dependencies,
-            priority,
-            duplicate_row_relations,
-            query,
-            variables,
-            naive,
+        fingerprint=theory_fingerprint(
+            {
+                "theory": theory.digest,
+                "query": str(query),
+                "variables": list(variables) if variables is not None else None,
+                "naive": naive,
+            }
         ),
         routes=routes,
         diagnostics=tuple(_locate(d, text) for d in diagnostics),
         plan_kind=classification.plan_kind,
         relations=tuple(sorted(mentioned)),
         prioritized=prioritized_mentioned,
+        classification=classification,
     )

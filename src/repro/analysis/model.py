@@ -28,7 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:
+    from .shapes import Classification
 
 # CPython's builtin SHA-256: hashlib would map OpenSSL (~3.5 MB
 # resident) for this one digest.
@@ -257,9 +260,15 @@ class RouteReport:
     ``routes`` maps each engine to the route label its ``last_route``
     would record (``"fallback"`` is abstracted —
     :meth:`expected_last_route` renders the engine's exact string
-    including the reason).  ``fingerprint`` hashes the analyzed theory
-    and query only — never instance data — so reports are cacheable
-    across requests until the theory changes.
+    including the reason).  ``fingerprint`` is the SHA-256 of the
+    theory's digest (:attr:`repro.analysis.analyzer.Theory.digest`:
+    schema, FDs, priority edges and duplicate-row relations), the query
+    text, the answer variables and the ``naive`` flag — never instance
+    data — so reports are cacheable across requests until the theory
+    changes.  ``classification`` is the shape analysis the report was
+    built from; a pushed engine's probe compiles from it instead of
+    classifying again.  It takes no part in equality or
+    :meth:`to_dict`.
     """
 
     query: str
@@ -273,6 +282,9 @@ class RouteReport:
     relations: Tuple[str, ...] = ()
     #: Prioritized relations among them (drives prefsql vs sqlite label).
     prioritized: Tuple[str, ...] = ()
+    classification: Optional["Classification"] = field(
+        default=None, compare=False, repr=False
+    )
 
     def blocking(self, engine: str) -> Tuple[Diagnostic, ...]:
         """The diagnostics blocking ``engine``, in decision order."""

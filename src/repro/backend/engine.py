@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.analysis.model import make_diagnostic
+from repro.analysis.shapes import Classification
 from repro.backend.rewrite import RewriteDecision, analyze_query
 from repro.cache import BoundedCache
 from repro.constraints.fd import FunctionalDependency
@@ -116,18 +117,25 @@ class SqlCqaEngine:
         query: Union[str, Formula],
         variables: Optional[Sequence[str]] = None,
         family: Optional[Family] = None,
+        classification: Optional[Classification] = None,
     ) -> RewriteDecision:
         """The routing decision for ``query``, without executing it.
 
         ``family`` is accepted for interface parity with the
         preference-aware engine; this engine's decisions are
         family-independent (no priority, all families coincide).
+        ``classification``, when the caller has one for this query and
+        schema (a :class:`~repro.analysis.RouteReport` carries it),
+        spares a second classification on a decision-cache miss.
         """
         formula = self._to_formula(query)
-        return self._decide(formula, variables)
+        return self._decide(formula, variables, classification)
 
     def _decide(
-        self, formula: Formula, variables: Optional[Sequence[str]]
+        self,
+        formula: Formula,
+        variables: Optional[Sequence[str]],
+        classification: Optional[Classification] = None,
     ) -> RewriteDecision:
         if self.priority_edges:
             return RewriteDecision(
@@ -137,7 +145,8 @@ class SqlCqaEngine:
         decision = self._decision_cache.get(key)
         if decision is None:
             decision = analyze_query(
-                formula, self.schema, self.dependencies, variables
+                formula, self.schema, self.dependencies, variables,
+                classification=classification,
             )
             self._decision_cache.put(key, decision)
         return decision

@@ -697,6 +697,7 @@ def analyze_query(
     variables: Optional[Sequence[str]] = None,
     survivors: Optional[Dict[str, str]] = None,
     resolved: AbstractSet[str] = frozenset(),
+    classification: Optional[Classification] = None,
 ) -> RewriteDecision:
     """Decide whether ``formula`` is rewritable and compile it if so.
 
@@ -704,13 +705,17 @@ def analyze_query(
     names and arities); ``variables`` fixes the answer-column order like
     :meth:`CqaEngine.certain_answers` does.  ``survivors`` and
     ``resolved`` switch :func:`compile_plan` into its preference-aware
-    mode (see there).
+    mode (see there).  A caller that already classified this formula
+    against this schema, dependencies and variables (a
+    :class:`~repro.analysis.RouteReport` carries one) passes it as
+    ``classification``; otherwise it is computed here.
 
     The returned decision carries the classifier's diagnostics; on
     fallback, ``reason`` is the first blocker's message — the exact
     string the historical fail-fast analysis raised.
     """
-    classification = classify(formula, schema, dependencies, variables)
+    if classification is None:
+        classification = classify(formula, schema, dependencies, variables)
     blocking = classification.blocking
     if blocking:
         return RewriteDecision(

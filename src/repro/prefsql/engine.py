@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.model import make_diagnostic
+from repro.analysis.shapes import Classification
 from repro.backend.rewrite import (
     DirtyProfile,
     NotRewritable,
@@ -288,16 +289,25 @@ class PrefSqlCqaEngine:
         query: Union[str, Formula],
         variables: Optional[Sequence[str]] = None,
         family: Optional[Family] = None,
+        classification: Optional[Classification] = None,
     ) -> RewriteDecision:
-        """The routing decision for ``query``, without executing it."""
+        """The routing decision for ``query``, without executing it.
+
+        ``classification``, when the caller has one for this query and
+        schema (a :class:`~repro.analysis.RouteReport` carries it),
+        spares a second classification on a decision-cache miss.
+        """
         formula = self._to_formula(query)
-        return self._decide(formula, variables, family or self.family)
+        return self._decide(
+            formula, variables, family or self.family, classification
+        )
 
     def _decide(
         self,
         formula: Formula,
         variables: Optional[Sequence[str]],
         family: Family,
+        classification: Optional[Classification] = None,
     ) -> RewriteDecision:
         key = (
             formula,
@@ -340,6 +350,7 @@ class PrefSqlCqaEngine:
                     variables,
                     survivors=survivors,
                     resolved=resolved,
+                    classification=classification,
                 )
                 if decision.pushed:
                     route = "prefsql" if prioritized else "sqlite"

@@ -13,7 +13,7 @@ hashable, and support substitution and free-variable computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import FrozenSet, Mapping, Sequence, Tuple, Union
 
 from repro.exceptions import QueryError
@@ -97,6 +97,37 @@ class Formula:
     def implies(self, other: "Formula") -> "Formula":
         return Implies(self, other)
 
+    # Hashing ---------------------------------------------------------------
+
+    def __hash__(self) -> int:
+        # Formulas key the decision, witness-index and answer caches, and
+        # a structural hash walks the whole tree, so each node hashes
+        # once.  ``str`` hashes are salted per interpreter: the cached
+        # value must never be pickled (see __reduce__).
+        try:
+            return self._hash
+        except AttributeError:
+            value = self._tree_hash()
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def _tree_hash(self) -> int:
+        raise NotImplementedError
+
+    def __reduce__(self):
+        # Rebuild through __init__, leaving the cached hash behind.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
+def _node(cls):
+    """``@dataclass(frozen=True)`` for a formula node, keeping the
+    dataclass's structural hash as :meth:`Formula._tree_hash` behind the
+    once-per-node :meth:`Formula.__hash__`."""
+    cls = dataclass(frozen=True)(cls)
+    cls._tree_hash = cls.__hash__
+    cls.__hash__ = Formula.__hash__
+    return cls
+
 
 def _substitute_term(term: Term, binding: Mapping[str, Value]) -> Term:
     if isinstance(term, Var) and term.name in binding:
@@ -104,7 +135,7 @@ def _substitute_term(term: Term, binding: Mapping[str, Value]) -> Term:
     return term
 
 
-@dataclass(frozen=True)
+@_node
 class TrueFormula(Formula):
     """The constant-true formula."""
 
@@ -118,7 +149,7 @@ class TrueFormula(Formula):
         return "TRUE"
 
 
-@dataclass(frozen=True)
+@_node
 class FalseFormula(Formula):
     """The constant-false formula."""
 
@@ -132,7 +163,7 @@ class FalseFormula(Formula):
         return "FALSE"
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     """A relational atom ``R(t1, ..., tk)``."""
 
@@ -176,7 +207,7 @@ EQUALITY_OPS = frozenset({"=", "!="})
 _NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
 
 
-@dataclass(frozen=True)
+@_node
 class Comparison(Formula):
     """A comparison ``t1 op t2`` with op in =, !=, <, >, <=, >=.
 
@@ -220,7 +251,7 @@ class Comparison(Formula):
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     """Negation."""
 
@@ -246,7 +277,7 @@ def _flatten(cls, parts: Sequence[Formula]) -> Tuple[Formula, ...]:
     return tuple(flat)
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     """N-ary conjunction (nested conjunctions are flattened)."""
 
@@ -267,7 +298,7 @@ class And(Formula):
         return " AND ".join(f"({part})" for part in self.parts)
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     """N-ary disjunction (nested disjunctions are flattened)."""
 
@@ -288,7 +319,7 @@ class Or(Formula):
         return " OR ".join(f"({part})" for part in self.parts)
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     """Implication ``antecedent -> consequent``."""
 
@@ -337,8 +368,13 @@ class _Quantifier(Formula):
             return NotImplemented
         return self.variables == other.variables and self.body == other.body
 
-    def __hash__(self) -> int:
+    __hash__ = Formula.__hash__
+
+    def _tree_hash(self) -> int:
         return hash((type(self).__name__, self.variables, self.body))
+
+    def __reduce__(self):
+        return (type(self), (self.variables, self.body))
 
 
 class Exists(_Quantifier):

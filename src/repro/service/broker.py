@@ -68,7 +68,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis import RouteReport
+from repro.analysis import RouteReport, Theory
 from repro.analysis import analyze as analyze_routes
 from repro.backend.mirror import SqliteMirror
 from repro.cache import BoundedCache
@@ -298,6 +298,9 @@ class _Entry:
     fingerprint: Optional[FrozenSet[Component]] = None
     #: Cached frozenset of active priority edges (part of cache keys).
     priority_fingerprint: Optional[FrozenSet[PriorityEdge]] = None
+    #: The analysis theory of the current state, with the
+    #: ``(active priority edges, relation count)`` key it was built for.
+    theory: Optional[Tuple[Tuple, Theory]] = None
 
 
 @dataclass
@@ -479,6 +482,29 @@ class RequestBroker:
             self._units.put(key, unit)
         return unit
 
+    def _theory(
+        self, entry: _Entry, active: FrozenSet[PriorityEdge]
+    ) -> Theory:
+        """The analysis theory of ``entry`` under ``active``, digested
+        once per state.
+
+        Keyed like the work units, by the active priority edges and the
+        relation count, so ``prefer``, a write that (de)activates an
+        edge and schema growth each build a new one.  Readers that race
+        here build equal theories; the last one stored wins."""
+        key = (active, len(entry.engine.schema))
+        built = entry.theory
+        if built is None or built[0] != key:
+            built = entry.theory = (
+                key,
+                Theory(
+                    entry.engine.schema,
+                    entry.engine.dependencies,
+                    tuple(active),
+                ),
+            )
+        return built[1]
+
     def _report(self, entry: _Entry, unit: _WorkUnit) -> RouteReport:
         """The unit's static route analysis, computed on first read.
 
@@ -486,12 +512,13 @@ class RequestBroker:
         predicted here — the prefsql engine's own probe stays
         authoritative for it."""
         if unit.report is None:
+            theory = self._theory(entry, unit.active)
             unit.report = analyze_routes(
-                entry.engine.schema,
-                entry.engine.dependencies,
+                theory.schema,
+                theory.dependencies,
                 unit.formula,
                 unit.variables,
-                priority=tuple(unit.active),
+                theory=theory,
             )
         return unit.report
 
@@ -560,8 +587,13 @@ class RequestBroker:
                 # (closed queries decide under ()) and under the
                 # request's family, so one cached decision serves both;
                 # only it sees data-dependent (duplicate-row) blocking.
+                # It compiles from the report's classification.
                 outcome: Optional[Outcome] = None
-                if pushed_engine.explain(formula, variables, family=family).pushed:
+                decision = pushed_engine.explain(
+                    formula, variables, family=family,
+                    classification=self._report(entry, unit).classification,
+                )
+                if decision.pushed:
                     if closed:
                         outcome = pushed_engine.answer(formula, family)
                     else:
