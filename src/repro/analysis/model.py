@@ -248,8 +248,8 @@ def make_diagnostic(
 
 
 def fallback_route(reason: str) -> str:
-    """The ``last_route`` spelling of a fallback (one definition for the
-    four call sites that used to inline the f-string)."""
+    """The route label of a fallback, ``fallback: <reason>`` (one
+    definition for decisions, reports and ``repro query``)."""
     return f"fallback: {reason}"
 
 
@@ -298,7 +298,8 @@ class RouteReport:
         return any(d.blocks_engine(engine) for d in self.diagnostics)
 
     def expected_last_route(self, engine: str) -> str:
-        """The exact ``last_route`` string the engine would record."""
+        """The engine's route label for the query: its ``last_route``
+        when pushed, ``fallback: <reason>`` when a diagnostic blocks it."""
         blocking = self.blocking(engine)
         if blocking:
             return fallback_route(blocking[0].message)

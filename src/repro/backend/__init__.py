@@ -4,8 +4,9 @@ The layer below (:mod:`repro.cqa`) answers by streaming repairs; this
 layer compiles the safe conjunctive fragment to a single self-join SQL
 rewriting (:mod:`repro.backend.rewrite`) and executes it directly on the
 SQLite store the relational layer persists to, via
-:class:`SqlCqaEngine` (:mod:`repro.backend.engine`).  Non-rewritable
-queries transparently fall back to the in-memory engine.
+:class:`SqlCqaEngine` (:mod:`repro.backend.engine`).  The engine
+declines non-rewritable queries; the service broker serves those in
+memory.
 """
 
 from repro.backend.engine import SqlCqaEngine

@@ -1,20 +1,22 @@
 """The SQLite-pushed certain-answer engine.
 
-:class:`SqlCqaEngine` mirrors :class:`~repro.cqa.engine.CqaEngine`'s
-``answer()`` / ``certain_answers()`` / ``sql_certain_answers()`` surface
-but evaluates rewritable queries *inside* SQLite (see
+:class:`SqlCqaEngine` offers the ``answer()`` / ``certain_answers()`` /
+``sql_certain_answers()`` surface of the in-memory engines but
+evaluates rewritable queries *inside* SQLite (see
 :mod:`repro.backend.rewrite`): no conflict-graph construction, no repair
 streaming, one SQL statement per answer set.  That opens the workload
 the in-memory engines cannot reach — file-backed instances with orders
 of magnitude more rows than fit a per-repair evaluation loop.
 
-Queries outside the rewritable fragment (and every query when priority
-edges are declared — this engine's rewriting is preference-blind; the
-:class:`~repro.prefsql.engine.PrefSqlCqaEngine` layer handles declared
-priorities) are routed to a lazily constructed
-in-memory :class:`CqaEngine` over the loaded database; the routing
-outcome of the last call is recorded in :attr:`last_route` and
-:meth:`explain` exposes the decision without running anything.
+The engine only pushes.  :meth:`~SqlCqaEngine.explain` decides without
+running anything; a query outside the rewritable fragment (and every
+query when priority edges are declared — this rewriting is
+preference-blind; :class:`~repro.prefsql.engine.PrefSqlCqaEngine`
+handles declared priorities) is declined: ``answer()`` and
+``certain_answers()`` raise :class:`~repro.exceptions.QueryError` with
+the blocking diagnostic's message.  The service broker
+(:mod:`repro.service.broker`) probes first and serves declined queries
+from its incremental engine, the one in-memory fallback.
 
 Because the rewriting quantifies over *all* repairs, its answers are
 exactly the classic (``Rep``) certain answers — and with no declared
@@ -36,19 +38,18 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.analysis.model import make_diagnostic
 from repro.analysis.shapes import Classification
-from repro.backend.rewrite import RewriteDecision, analyze_query
+from repro.backend.rewrite import PlanResult, RewriteDecision, analyze_query
 from repro.cache import BoundedCache
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
-from repro.cqa.engine import CqaEngine
 from repro.exceptions import QueryError
 from repro.obs import annotate, observe_query
 from repro.obs import span as obs_span
 from repro.query.ast import Formula
 from repro.query.sql import sql_to_formula
 from repro.query.validate import parse_checked
-from repro.relational.sqlite_io import load_database, load_schema
+from repro.relational.sqlite_io import load_schema
 
 # The catalogued diagnostic renders the historical reason string
 # verbatim (metric labels and tests pin it); keeping the module-level
@@ -62,9 +63,8 @@ class SqlCqaEngine:
 
     ``source`` is a database file path or an open connection;
     ``relation_names`` widens the visible schema to tables created
-    outside repro.  ``priority`` accepts the same ``(winner, loser)``
-    row-pair edges as :class:`CqaEngine` — any non-empty priority forces
-    the in-memory fallback path.
+    outside repro.  ``priority`` accepts ``(winner, loser)`` row-pair
+    edges — any non-empty priority declines every query (RA302).
     """
 
     def __init__(
@@ -80,9 +80,9 @@ class SqlCqaEngine:
         self.dependencies = tuple(dependencies)
         self.family = family
         self.priority_edges = tuple(priority or ())
-        self._relation_names = tuple(relation_names) if relation_names else None
-        self.schema = load_schema(self._connection, self._relation_names)
-        self._fallback_engine: Optional[CqaEngine] = None
+        self.schema = load_schema(
+            self._connection, tuple(relation_names) if relation_names else None
+        )
         # Formulas are hashable, so explain() followed by answer()/
         # certain_answers() (the session routing pattern) and repeated
         # queries compile once.  Bounded: a mirror's engine lives as
@@ -90,8 +90,7 @@ class SqlCqaEngine:
         self._decision_cache: BoundedCache[
             Tuple[Formula, Optional[Tuple[str, ...]]], RewriteDecision
         ] = BoundedCache(1024, "sql_decision")
-        #: Routing of the most recent call: ``"sqlite"`` or
-        #: ``"fallback: <reason>"``.
+        #: Routing of the most recent answered call: ``"sqlite"``.
         self.last_route: Optional[str] = None
 
     # Lifecycle ---------------------------------------------------------------
@@ -151,13 +150,27 @@ class SqlCqaEngine:
             self._decision_cache.put(key, decision)
         return decision
 
-    def _fallback(self) -> CqaEngine:
-        if self._fallback_engine is None:
-            database = load_database(self._connection, self._relation_names)
-            self._fallback_engine = CqaEngine(
-                database, self.dependencies, self.priority_edges, self.family
-            )
-        return self._fallback_engine
+    def _run(
+        self,
+        formula: Formula,
+        variables: Tuple[str, ...],
+        family: Family,
+        started: float,
+    ) -> PlanResult:
+        """Decide and execute one query; a declined query raises
+        :class:`QueryError` with the decision's reason."""
+        with obs_span("route-decision"):
+            decision = self._decide(formula, variables)
+        if decision.plan is None:
+            raise QueryError(decision.reason)
+        self.last_route = "sqlite"
+        annotate(route="sqlite")
+        with obs_span("sql-execute"):
+            result = decision.plan.run(self._connection)
+        observe_query(
+            "sql", "sqlite", str(family), time.perf_counter() - started
+        )
+        return result
 
     # Closed queries ----------------------------------------------------------
 
@@ -170,25 +183,8 @@ class SqlCqaEngine:
         formula = self._to_formula(query)
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        with obs_span("route-decision"):
-            decision = self._decide(formula, ())
-        if decision.plan is None:
-            self.last_route = decision.fallback_route
-            annotate(route="fallback", reason=decision.reason)
-            answer = self._fallback().answer(formula, family)
-            observe_query(
-                "sql", self.last_route, str(family),
-                time.perf_counter() - started,
-            )
-            return answer
-        self.last_route = "sqlite"
-        annotate(route="sqlite")
-        with obs_span("sql-execute"):
-            result = decision.plan.run(self._connection)
+        result = self._run(formula, (), family, started)
         verdict = Verdict.of(bool(result.certain), bool(result.possible))
-        observe_query(
-            "sql", "sqlite", str(family), time.perf_counter() - started
-        )
         return ClosedAnswer(family, verdict, 0, 0, None, route="sqlite")
 
     def is_consistently_true(
@@ -211,26 +207,7 @@ class SqlCqaEngine:
         formula = self._to_formula(query)
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
-        with obs_span("route-decision"):
-            decision = self._decide(formula, variables)
-        if decision.plan is None:
-            self.last_route = decision.fallback_route
-            annotate(route="fallback", reason=decision.reason)
-            answers = self._fallback().certain_answers(
-                formula, variables, family
-            )
-            observe_query(
-                "sql", self.last_route, str(family),
-                time.perf_counter() - started,
-            )
-            return answers
-        self.last_route = "sqlite"
-        annotate(route="sqlite")
-        with obs_span("sql-execute"):
-            result = decision.plan.run(self._connection)
-        observe_query(
-            "sql", "sqlite", str(family), time.perf_counter() - started
-        )
+        result = self._run(formula, tuple(variables), family, started)
         return OpenAnswers(
             family,
             tuple(variables),

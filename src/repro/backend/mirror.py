@@ -2,7 +2,8 @@
 
 The service broker keeps one :class:`~repro.incremental.engine.
 IncrementalCqaEngine` per database while requests insert and delete
-tuples (``repro serve``, ``repro session``).  With pushdown enabled it
+tuples (``repro serve``, ``repro session``, ``repro query``).  With
+pushdown enabled it
 also keeps this mirror: an (in-memory by default) SQLite database that
 is re-saved from the engine's current state the first time a query
 arrives after an update, so rewritable queries run pushed down while
@@ -14,7 +15,12 @@ The mirror also hosts the preference-aware pushdown
 :class:`~repro.prefsql.engine.PrefSqlCqaEngine` whose conflict/edge
 side tables live on the mirror connection.  Because a re-save
 reassigns rowids, every refresh drops the preference engine; the next
-:meth:`pref_engine_for` rebuilds its side tables.
+:meth:`pref_engine_for` rebuilds its side tables.  The re-save writes
+the engine's set of rows, so no mirror table ever holds duplicate rows.
+
+The engines handed out here only push: a query they decline raises, and
+the broker serves it from its incremental engine instead.  This class is
+the only constructor of either pushed engine on the served path.
 
 Every write to the connection happens in :meth:`engine_for` and
 :meth:`pref_engine_for`: the re-save, and the preference engine's

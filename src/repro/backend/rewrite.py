@@ -199,7 +199,8 @@ class RewriteDecision:
 
     @property
     def fallback_route(self) -> str:
-        """The ``last_route`` string of a fallback on this decision."""
+        """The route label of a fallback on this decision
+        (``fallback: <reason>``)."""
         assert self.reason is not None
         return fallback_route(self.reason)
 

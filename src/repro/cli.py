@@ -19,25 +19,31 @@ unless ``--relation`` is given) or from a SQLite database
 (``--sqlite db.sqlite --relation R``).  Priorities are supplied either
 with ``--prefer-new COLUMN`` (newer/larger value wins conflicts) or
 ``--prefer-source COLUMN --source-order "s1>s3,s2>s3"``.
+
+``query`` and ``analyze`` read the data into memory and register it on
+one :class:`~repro.service.broker.RequestBroker`, so they route exactly
+as ``serve`` and ``session`` do: ``--backend memory`` registers no
+SQLite mirror, ``sqlite`` a mirror with the preference-aware pushdown
+off, ``prefsql`` both.  A query no pushed engine takes is served by the
+broker's incremental engine and reported as ``fallback: <reason>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.constraints.conflict_graph import build_conflict_graph, render_conflict_graph
 from repro.constraints.fd import FunctionalDependency
 from repro.core.cleaning import clean
 from repro.core.families import Family, preferred_repairs
-from repro.cqa.answers import Verdict
 from repro.cqa.engine import CqaEngine
 from repro.priorities.builders import (
     priority_from_ranking,
     priority_from_source_reliability,
 )
-from repro.priorities.priority import Priority, empty_priority
+from repro.priorities.priority import empty_priority
 from repro.relational.csv_io import read_instance_csv
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import sorted_rows
@@ -238,46 +244,90 @@ def _format_answer_tuples(tuples) -> str:
     return ", ".join(str(tuple(answer)) for answer in _sorted_answers(tuples)) or "(none)"
 
 
-def _open_answers_verdict(result) -> str:
-    """Three-valued reading of a boolean query's OpenAnswers."""
-    return Verdict.of(bool(result.certain), bool(result.possible)).value
+def _register(args: argparse.Namespace, backend: str = "memory"):
+    """The data flags registered on a one-database broker.
+
+    ``backend`` maps like ``repro serve``'s: ``memory`` registers no
+    SQLite mirror, ``sqlite`` a mirror with prefsql off, and
+    ``prefsql`` both.  Returns the broker and the request to serve or
+    analyze (``--sql`` is translated against the registered schema).
+    """
+    from repro.service.broker import Request, RequestBroker
+
+    family = _FAMILY_CODES[args.family]
+    if args.prefer_new or args.prefer_source:
+        data, dependencies, _, priority = _build_setting(args)
+        edges = priority.edges
+    else:
+        dependencies = [
+            FunctionalDependency.parse(spec, args.relation) for spec in args.fd
+        ]
+        if args.csv:
+            data = read_instance_csv(args.csv, args.relation)
+        elif args.sqlite:
+            data = (
+                load_instance(args.sqlite, args.relation)
+                if args.relation
+                else load_database(args.sqlite)
+            )
+        else:
+            raise SystemExit("provide --csv or --sqlite")
+        edges = ()
+    broker = RequestBroker()
+    broker.register(
+        "cli", data, dependencies, edges, family,
+        sqlite_pushdown=backend != "memory",
+        prefsql_pushdown=backend == "prefsql",
+    )
+    if args.sql:
+        from repro.query.sql import sql_to_formula
+
+        formula, variables = sql_to_formula(args.sql, broker.engine().schema)
+        return broker, Request(formula, family, variables)
+    return broker, Request(args.query, family)
 
 
-def _explain_decision(args: argparse.Namespace, engine, family) -> int:
-    """Print the routing decision without executing (``--explain``)."""
+def _print_explain(args: argparse.Namespace, decision, family) -> int:
+    """Print the broker's pushdown decision (``--explain``)."""
     import json
 
-    from repro.query.parser import parse_query
-    from repro.query.sql import sql_to_formula
-
-    if args.sql:
-        formula, variables = sql_to_formula(args.sql, engine.schema)
-    else:
-        formula, variables = parse_query(args.query), None
-    decision = engine.explain(formula, variables)
-    route = decision.route or ("sqlite" if decision.pushed else "fallback")
+    if decision is None:
+        if args.json:
+            print(
+                json.dumps(
+                    {
+                        "backend": "memory",
+                        "family": str(family),
+                        "route": "memory",
+                        "reason": "in-memory repair streaming (no SQL)",
+                    }
+                )
+            )
+        else:
+            print("route: memory (in-memory repair streaming, no SQL)")
+        return 0
+    plan = decision.plan
+    route = (decision.route or "sqlite") if plan else "fallback"
     if args.json:
         payload = {
             "backend": args.backend,
             "family": str(family),
-            "route": route if decision.pushed else "fallback",
+            "route": route,
             "reason": decision.reason,
-            "plan": decision.plan.description if decision.pushed else None,
-            "certain_sql": decision.plan.certain_sql if decision.pushed else None,
-            "possible_sql": (
-                decision.plan.possible_sql if decision.pushed else None
-            ),
+            "plan": plan.description if plan else None,
+            "certain_sql": plan.certain_sql if plan else None,
+            "possible_sql": plan.possible_sql if plan else None,
             "diagnostics": [d.to_dict() for d in decision.diagnostics],
         }
         print(json.dumps(payload))
         return 0
-    if decision.pushed:
+    if plan:
         print(f"route: {route} (pushed down, not executed)")
-        print(f"plan: {decision.plan.description}")
-        if decision.plan.certain_sql:
-            print(f"certain SQL: {decision.plan.certain_sql}")
-        if decision.plan.possible_sql:
-            print(f"possible SQL: {decision.plan.possible_sql}")
+        print(f"plan: {plan.description}")
+        if plan.certain_sql:
+            print(f"certain SQL: {plan.certain_sql}")
+        if plan.possible_sql:
+            print(f"possible SQL: {plan.possible_sql}")
     else:
         print("route: fallback (in-memory repair streaming)")
         print(f"reason: {decision.reason}")
@@ -296,37 +346,13 @@ def _print_diagnostics(diagnostics) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Static route analysis: no data is read beyond the schema load."""
+    """Static route analysis, as the broker routes the query: nothing
+    executes."""
     import json
 
-    from repro.query.sql import sql_to_formula
-
-    family = _FAMILY_CODES[args.family]
-    has_priority_flags = bool(args.prefer_new or args.prefer_source)
-    if has_priority_flags:
-        instance, dependencies, _, priority = _build_setting(args)
-        engine = CqaEngine(instance, dependencies, priority, family)
-    else:
-        dependencies = [
-            FunctionalDependency.parse(spec, args.relation) for spec in args.fd
-        ]
-        if args.csv:
-            data = read_instance_csv(args.csv, args.relation)
-        elif args.sqlite:
-            data = (
-                load_instance(args.sqlite, args.relation)
-                if args.relation
-                else load_database(args.sqlite)
-            )
-        else:
-            raise SystemExit("provide --csv or --sqlite")
-        engine = CqaEngine(data, dependencies, None, family)
-
-    if args.sql:
-        formula, variables = sql_to_formula(args.sql, engine.database_schema)
-    else:
-        formula, variables = args.query, None
-    report = engine.route_report(formula, variables)
+    broker, request = _register(args)
+    with broker:
+        report = broker.analyze(request.query, request.family, request.variables)
 
     if args.json:
         payload = report.to_dict()
@@ -363,166 +389,92 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    """Certain answers for open or closed queries, optionally SQL-pushed."""
+    """Certain answers for open or closed queries, served by a broker
+    exactly as ``repro serve`` serves them."""
+    import contextlib
     import json
 
-    family = _FAMILY_CODES[args.family]
-    dependencies = [
-        FunctionalDependency.parse(spec, args.relation) for spec in args.fd
-    ]
-    has_priority_flags = bool(args.prefer_new or args.prefer_source)
+    from repro.obs import format_tree, trace
 
     if args.backend == "sqlite":
-        from repro.backend import SqlCqaEngine
-
         if not args.sqlite:
             raise SystemExit("--backend sqlite requires --sqlite")
-        if has_priority_flags:
+        if args.prefer_new or args.prefer_source:
             raise SystemExit(
                 "--prefer-* flags are preference-aware; use --backend prefsql "
                 "(pushed) or --backend memory (repair streaming)"
             )
-        engine = SqlCqaEngine(args.sqlite, dependencies, family=family)
-
-        def route() -> str:
-            last = engine.last_route or "sqlite"
-            return "sqlite (pushed down)" if last == "sqlite" else last
-    elif args.backend == "prefsql":
-        import sqlite3 as _sqlite3
-
-        from repro.prefsql import PrefSqlCqaEngine
-        from repro.relational.database import Database
-        from repro.relational.sqlite_io import save_database
-
-        if has_priority_flags:
-            # The priority builders orient the loaded instance's
-            # conflicts; the engine then pushes that orientation down.
-            instance, dependencies, _, priority = _build_setting(args)
-            edges = priority.dominance_rows()
-        else:
-            instance, edges = None, ()
-        if args.sqlite:
-            engine = PrefSqlCqaEngine(
-                args.sqlite, dependencies, edges, family
+    broker, request = _register(args, args.backend)
+    with broker:
+        if args.explain:
+            decision = broker.explain(
+                request.query, request.family, request.variables
             )
-        elif instance is not None or args.csv:
-            if instance is None:
-                instance = read_instance_csv(args.csv, args.relation)
-            connection = _sqlite3.connect(":memory:")
-            save_database(Database.single(instance), connection, dependencies)
-            engine = PrefSqlCqaEngine(connection, dependencies, edges, family)
+            return _print_explain(args, decision, request.family)
+        # --profile collects the query-lifecycle span tree while the
+        # broker serves, then renders it after the normal output.
+        profiling = trace("query") if args.profile else contextlib.nullcontext()
+        with profiling as tracer:
+            result = broker.submit([request])[0]
+        if result.engine != "incremental":
+            route = f"{result.route} (pushed down)"
         else:
-            raise SystemExit("provide --csv or --sqlite")
-
-        def route() -> str:
-            last = engine.last_route or "prefsql"
-            return f"{last} (pushed down)" if last in ("prefsql", "sqlite") else last
-    elif has_priority_flags:
-        instance, dependencies, _, priority = _build_setting(args)
-        engine = CqaEngine(instance, dependencies, priority, family)
-
-        def route() -> str:
-            return "memory"
-    else:
-        if args.csv:
-            data = read_instance_csv(args.csv, args.relation)
-        elif args.sqlite:
-            data = (
-                load_instance(args.sqlite, args.relation)
-                if args.relation
-                else load_database(args.sqlite)
+            decision = broker.explain(
+                request.query, request.family, request.variables
             )
-        else:
-            raise SystemExit("provide --csv or --sqlite")
-        engine = CqaEngine(data, dependencies, None, family)
-
-        def route() -> str:
-            return "memory"
-
-    if getattr(args, "explain", False):
-        if hasattr(engine, "explain"):
-            return _explain_decision(args, engine, family)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "backend": "memory",
-                        "family": str(family),
-                        "route": "memory",
-                        "reason": "in-memory repair streaming (no SQL)",
-                    }
-                )
-            )
-        else:
-            print("route: memory (in-memory repair streaming, no SQL)")
-        return 0
-
-    if not getattr(args, "profile", False):
-        code, payload = _execute_query(args, engine, route, family)
+            route = "memory" if decision is None else decision.fallback_route
+    code, payload = _print_answer(args, route, result)
+    if args.profile:
+        tracer.root.attributes.setdefault("backend", args.backend)
+        tracer.root.attributes.setdefault("route", route)
         if payload is not None:
-            print(json.dumps(payload))
-        return code
-
-    # --profile: collect the query-lifecycle span tree while executing,
-    # then render it after the normal output.  Under --json the tree is
-    # embedded as the payload's "trace" key (stdout stays one JSON
-    # object) and pretty-printed to stderr for humans.
-    from repro.obs import format_tree, trace
-
-    with trace("query") as tracer:
-        code, payload = _execute_query(args, engine, route, family)
-    tracer.root.attributes.setdefault("backend", args.backend)
-    tracer.root.attributes.setdefault("route", route())
+            # Under --json the tree is embedded as the payload's "trace"
+            # key (stdout stays one JSON object) and pretty-printed to
+            # stderr for humans.
+            payload["trace"] = tracer.root.to_dict()
     if payload is not None:
-        payload["trace"] = tracer.root.to_dict()
         print(json.dumps(payload))
-    stream = sys.stderr if args.json else sys.stdout
-    print(format_tree(tracer.root), file=stream)
+    if args.profile:
+        stream = sys.stderr if args.json else sys.stdout
+        print(format_tree(tracer.root), file=stream)
     return code
 
 
-def _execute_query(args: argparse.Namespace, engine, route, family):
-    """Execute the (already routed) query and print/return the answer.
+def _print_answer(args: argparse.Namespace, route: str, result):
+    """Print (text) or return (``--json``) one served answer.
 
     Returns ``(exit_code, payload)`` — ``payload`` is the JSON body
     under ``--json`` (printed by the caller, which may first attach a
     span tree) and None in text mode (already printed here).
     """
-    from repro.query.parser import parse_query
+    from repro.cqa.answers import ClosedAnswer
 
-    if args.sql:
-        result = engine.sql_certain_answers(args.sql, family)
-    else:
-        formula = parse_query(args.query)
-        if formula.is_closed:
-            answer = engine.answer(formula, family)
-            code = 0 if answer.verdict.value != "undetermined" else 2
-            if args.json:
-                return code, {
-                    "backend": route(),
-                    "family": str(family),
-                    "verdict": answer.verdict.value,
-                }
-            print(f"backend: {route()}")
-            print(f"family={family} verdict={answer.verdict.value}")
-            return code, None
-        result = engine.certain_answers(formula, family=family)
-
+    family = result.request.family
+    outcome = result.outcome
+    if isinstance(outcome, ClosedAnswer):
+        verdict = outcome.verdict.value
+        code = 0 if verdict != "undetermined" else 2
+        if args.json:
+            return code, {
+                "backend": route,
+                "family": str(family),
+                "verdict": verdict,
+            }
+        print(f"backend: {route}")
+        print(f"family={family} verdict={verdict}")
+        return code, None
     if args.json:
         return 0, {
-            "backend": route(),
+            "backend": route,
             "family": str(family),
-            "variables": list(result.variables),
-            "certain": list(map(list, _sorted_answers(result.certain))),
-            "possible": list(map(list, _sorted_answers(result.possible))),
+            "variables": list(outcome.variables),
+            "certain": list(map(list, _sorted_answers(outcome.certain))),
+            "possible": list(map(list, _sorted_answers(outcome.possible))),
         }
-    print(f"backend: {route()}")
-    if not result.variables:
-        print(f"family={family} verdict={_open_answers_verdict(result)}")
-        return (0 if _open_answers_verdict(result) != "undetermined" else 2), None
-    print(f"variables: {', '.join(result.variables)}")
-    print(f"certain: {_format_answer_tuples(result.certain)}")
-    print(f"possible: {_format_answer_tuples(result.possible)}")
+    print(f"backend: {route}")
+    print(f"variables: {', '.join(outcome.variables)}")
+    print(f"certain: {_format_answer_tuples(outcome.certain)}")
+    print(f"possible: {_format_answer_tuples(outcome.possible)}")
     return 0, None
 
 
@@ -1169,11 +1121,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="certain answers, optionally pushed down into SQLite",
         description=(
             "Compute certain (and possible) answers of an open or closed "
-            "query.  With --backend sqlite, safe conjunctive queries are "
-            "compiled to a single self-join SQL rewriting and evaluated "
-            "inside the SQLite file itself — no repair enumeration; "
-            "non-rewritable queries transparently fall back to the "
-            "in-memory engine."
+            "query.  The data is read into memory and served as "
+            "'repro serve' serves it.  With --backend sqlite, safe "
+            "conjunctive queries are compiled to a single self-join SQL "
+            "rewriting and evaluated on a SQLite mirror of the data — no "
+            "repair enumeration; the query's route line names the "
+            "blocking reason when it is served in memory instead."
         ),
     )
     _add_data_arguments(query_cmd)
@@ -1219,8 +1172,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Classify a query against the schema, FDs, and priority "
             "theory without executing it: which engine would push it "
             "down, which would fall back, and every blocking "
-            "diagnostic (with fix hints).  Purely data-independent "
-            "apart from the schema load."
+            "diagnostic (with fix hints).  The report depends on the "
+            "theory, not the rows; it is the one the broker routes "
+            "'repro query' by."
         ),
     )
     _add_data_arguments(analyze_cmd)

@@ -61,6 +61,7 @@ __all__ = [
     "span",
     "trace",
     "observe_query",
+    "observe_fallback",
     "observe_cache",
     "observe_process",
     "query_histogram",
@@ -77,31 +78,34 @@ def observe_query(
     """Record one answered query: route counter + latency histogram.
 
     ``route`` is the engine's own label ("prefsql", "sqlite",
-    "witness-index", "indexed", "naive", or "fallback: <reason>"); the
-    fallback reason is split into its own counter so the route label set
-    stays small.  The same call feeds the flight recorder's open capture
-    (if any), so recorded queries carry the serving engine and route.
+    "witness-index", "indexed" or "naive").  The same call feeds the
+    flight recorder's open capture (if any), so recorded queries carry
+    the serving engine and route.
     """
     RECORDER.note(engine=engine, route=route, family=family, seconds=seconds)
     if not registry.enabled:
         return
-    reason: Optional[str] = None
-    if route.startswith("fallback"):
-        _, _, detail = route.partition(":")
-        reason = detail.strip() or "unspecified"
-        route = "fallback"
     registry.counter(
         "repro_queries_total",
         "Queries answered, by engine, route, and repair family",
         labels=("engine", "route", "family"),
     ).labels(engine=engine, route=route, family=family).inc()
-    if reason is not None:
+    query_histogram(registry).labels(route=route).observe(seconds)
+
+
+def observe_fallback(
+    reason: str, registry: MetricsRegistry = REGISTRY
+) -> None:
+    """Count one pushdown fallback: a query the route ladder meant for
+    a pushed engine, served in memory instead.  ``reason`` is the
+    blocking diagnostic's message; it gets its own counter so the route
+    label set stays small."""
+    if registry.enabled:
         registry.counter(
             "repro_fallbacks_total",
             "Pushdown fallbacks to in-memory evaluation, by reason",
             labels=("reason",),
         ).labels(reason=reason).inc()
-    query_histogram(registry).labels(route=route).observe(seconds)
 
 
 def observe_cache(

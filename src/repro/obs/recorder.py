@@ -50,6 +50,7 @@ from .registry import REGISTRY, MetricsRegistry, query_histogram
 from .tracing import (
     Span,
     Tracer,
+    current_tracer,
     install_tracer,
     new_trace_id,
     restore_tracer,
@@ -341,7 +342,10 @@ class FlightRecorder:
         RouteReport`; it is only invoked when the record is actually
         kept, so dropped queries never pay for analysis.  Nested
         captures (an engine answering inside a broker capture) return a
-        shared no-op — the outer capture owns the record.
+        shared no-op — the outer capture owns the record.  Inside an
+        enclosing trace (``repro query --profile``) the capture installs
+        no tracer of its own: the spans land in the enclosing tree, and
+        the record keeps none.
         """
         if not self.enabled:
             return _NO_CAPTURE
@@ -358,7 +362,7 @@ class FlightRecorder:
             return _NO_CAPTURE
         return _Capture(
             self, query, database, report_provider, keep_sampled,
-            traced=True,
+            traced=current_tracer() is None,
         )
 
     def note(

@@ -4,7 +4,7 @@
 SQLite-persisted database with the same surface as
 :class:`~repro.backend.engine.SqlCqaEngine` — ``answer()``,
 ``certain_answers()``, ``sql_certain_answers()``, ``explain()``,
-``last_route`` — but does not fall back just because a priority is
+``last_route`` — but does not decline just because a priority is
 declared.  Instead it materializes the oriented dominance edges into
 side tables (:mod:`repro.prefsql.edges`), derives the per-family
 survivor tables of the winnow selection (:mod:`repro.prefsql.winnow`),
@@ -24,17 +24,23 @@ Routing of the last call, via :attr:`last_route`:
     The query was pushed but mentioned no prioritized relation, so the
     preference-blind plan sufficed (clean relations, or dirty
     relations whose conflicts carry no orientation).
-``"fallback: <reason>"``
-    Outside the pushdown fragment.  The shapes that still stream
-    repairs in memory: non-conjunctive bodies (disjunction, negation,
-    universal quantification), unsafe variables, self-joins of or
-    joins between dirty relations, relations whose FDs have differing
-    left-hand sides (no per-group class structure — this includes any
-    priority declared over such a relation), and prioritized relations
-    stored with duplicate physical rows.
+
+The engine only pushes.  Outside the pushdown fragment it declines:
+``explain()`` returns the decision with the blocking reason, and
+``answer()`` / ``certain_answers()`` raise
+:class:`~repro.exceptions.QueryError` with it.  The declined shapes:
+non-conjunctive bodies (disjunction, negation, universal
+quantification), unsafe variables, self-joins of or non-key joins
+between dirty relations, relations whose FDs have differing left-hand
+sides (no per-group class structure — this includes any priority
+declared over such a relation), and prioritized relations stored with
+duplicate physical rows (RA303; a file-backed source can hold them, the
+broker's mirror never does).  The service broker
+(:mod:`repro.service.broker`) probes first and serves declined queries
+from its incremental engine, the one in-memory fallback.
 
 Cyclic declared priorities and edges over non-conflicting or absent
-tuples raise at construction, exactly like the in-memory engine.
+tuples raise at construction, exactly like the in-memory engines.
 
 Pushed answers report ``repairs_considered`` as 0 — no repair is ever
 materialized, which is the point.
@@ -54,6 +60,7 @@ from repro.analysis.shapes import Classification
 from repro.backend.rewrite import (
     DirtyProfile,
     NotRewritable,
+    PlanResult,
     RewriteDecision,
     analyze_query,
     dirty_profile,
@@ -62,7 +69,6 @@ from repro.cache import BoundedCache
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
-from repro.cqa.engine import CqaEngine
 from repro.exceptions import CyclicPriorityError, QueryError
 from repro.obs import annotate, observe_query
 from repro.obs import span as obs_span
@@ -80,7 +86,7 @@ from repro.priorities.priority import (
 from repro.query.ast import Formula, relations_of
 from repro.query.sql import sql_to_formula
 from repro.query.validate import parse_checked
-from repro.relational.sqlite_io import load_database, load_schema
+from repro.relational.sqlite_io import load_schema
 
 #: The families with survivor tables (``Rep`` keeps every repair).
 _PREFERRED_FAMILIES = tuple(f for f in Family if f is not Family.REP)
@@ -118,8 +124,9 @@ class PrefSqlCqaEngine:
             )
         else:
             self.priority_edges = tuple(priority or ())
-        self._relation_names = tuple(relation_names) if relation_names else None
-        self.schema = load_schema(self._connection, self._relation_names)
+        self.schema = load_schema(
+            self._connection, tuple(relation_names) if relation_names else None
+        )
         self._profiles: Dict[str, DirtyProfile] = {}
         for relation in self.schema:
             try:
@@ -128,8 +135,8 @@ class PrefSqlCqaEngine:
                 continue  # differing FD LHSs: analyze_query rejects uses
             if profile is not None:
                 self._profiles[relation.name] = profile
-        # Validation happens eagerly (like CqaEngine's Priority
-        # construction); only edges over profiled relations are
+        # Validation happens eagerly (like the in-memory engines'
+        # Priority construction); only edges over profiled relations are
         # materialized — the rest cannot be pushed anyway.
         self._edge_counts: Dict[str, int] = {}  # guarded-by: _lock
         if self.priority_edges:
@@ -155,9 +162,8 @@ class PrefSqlCqaEngine:
         self._decisions: BoundedCache[
             Tuple[Formula, Optional[Tuple[str, ...]], Family], RewriteDecision
         ] = BoundedCache(1024, "prefsql_decision")
-        self._fallback_engine: Optional[CqaEngine] = None  # guarded-by: _lock
-        #: Routing of the most recent call: ``"prefsql"``, ``"sqlite"``
-        #: or ``"fallback: <reason>"``.
+        #: Routing of the most recent answered call: ``"prefsql"`` or
+        #: ``"sqlite"``.
         self.last_route: Optional[str] = None
 
     # Lifecycle ---------------------------------------------------------------
@@ -216,13 +222,13 @@ class PrefSqlCqaEngine:
                         self._blocked[name] = reason
             self._build_survivors()
             self._decisions.clear()
-            self._fallback_engine = None
 
     # Survivor management -----------------------------------------------------
 
     def _duplicate_rows_reason(self, relation: str) -> Optional[str]:
         """Priority edges bind to rowids; duplicate physical rows would
-        leave one copy unaccounted for, so such relations fall back."""
+        leave one copy unaccounted for, so queries over such relations
+        are declined."""
         from repro.relational.sqlite_io import quote_identifier
 
         table = quote_identifier(relation)
@@ -358,17 +364,29 @@ class PrefSqlCqaEngine:
             self._decisions.put(key, decision)
         return decision
 
-    def _fallback(self) -> CqaEngine:
-        with self._lock:
-            if self._fallback_engine is None:
-                database = load_database(
-                    self._connection, self._relation_names
-                )
-                self._fallback_engine = CqaEngine(
-                    database, self.dependencies, self.priority_edges,
-                    self.family,
-                )
-            return self._fallback_engine
+    def _run(
+        self,
+        formula: Formula,
+        variables: Tuple[str, ...],
+        family: Family,
+        started: float,
+    ) -> Tuple[PlanResult, str]:
+        """Decide and execute one query: ``(result, route)``.  A
+        declined query raises :class:`QueryError` with the decision's
+        reason."""
+        with obs_span("route-decision"):
+            decision = self._decide(formula, variables, family)
+        if decision.plan is None:
+            raise QueryError(decision.reason)
+        self.last_route = decision.route
+        annotate(route=decision.route)
+        with obs_span("winnow-execute", route=decision.route):
+            result = decision.plan.run(self._connection)
+        observe_query(
+            "prefsql", decision.route, str(family),
+            time.perf_counter() - started,
+        )
+        return result, decision.route
 
     # Closed queries ----------------------------------------------------------
 
@@ -381,27 +399,9 @@ class PrefSqlCqaEngine:
         formula = self._to_formula(query)
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        with obs_span("route-decision"):
-            decision = self._decide(formula, (), family)
-        if decision.plan is None:
-            self.last_route = decision.fallback_route
-            annotate(route="fallback", reason=decision.reason)
-            answer = self._fallback().answer(formula, family)
-            observe_query(
-                "prefsql", self.last_route, str(family),
-                time.perf_counter() - started,
-            )
-            return answer
-        self.last_route = decision.route
-        annotate(route=decision.route)
-        with obs_span("winnow-execute", route=decision.route):
-            result = decision.plan.run(self._connection)
+        result, route = self._run(formula, (), family, started)
         verdict = Verdict.of(bool(result.certain), bool(result.possible))
-        observe_query(
-            "prefsql", decision.route, str(family),
-            time.perf_counter() - started,
-        )
-        return ClosedAnswer(family, verdict, 0, 0, None, route=decision.route)
+        return ClosedAnswer(family, verdict, 0, 0, None, route=route)
 
     def is_consistently_true(
         self, query: Union[str, Formula], family: Optional[Family] = None
@@ -423,34 +423,14 @@ class PrefSqlCqaEngine:
         formula = self._to_formula(query)
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
-        with obs_span("route-decision"):
-            decision = self._decide(formula, variables, family)
-        if decision.plan is None:
-            self.last_route = decision.fallback_route
-            annotate(route="fallback", reason=decision.reason)
-            answers = self._fallback().certain_answers(
-                formula, variables, family
-            )
-            observe_query(
-                "prefsql", self.last_route, str(family),
-                time.perf_counter() - started,
-            )
-            return answers
-        self.last_route = decision.route
-        annotate(route=decision.route)
-        with obs_span("winnow-execute", route=decision.route):
-            result = decision.plan.run(self._connection)
-        observe_query(
-            "prefsql", decision.route, str(family),
-            time.perf_counter() - started,
-        )
+        result, route = self._run(formula, tuple(variables), family, started)
         return OpenAnswers(
             family,
             tuple(variables),
             result.certain,
             result.possible,
             0,
-            route=decision.route,
+            route=route,
         )
 
     def sql_certain_answers(

@@ -33,6 +33,13 @@ route by construction:
    (``indexed``) every other query, optionally sharded across the
    process pool of :mod:`repro.service.parallel`.
 
+This is the only fallback: the pushed engines decline what they cannot
+push and never evaluate it in memory themselves.  Each execution the
+ladder meant for a pushed engine but served here counts one
+``repro_fallbacks_total{reason}``, with the blocking diagnostic's
+message as the reason; :meth:`RequestBroker.explain` shows the same
+decision without executing.
+
 Cache keys embed the instance's *component fingerprint* — the frozenset
 of conflict-graph component vertex sets — plus the *priority
 fingerprint* (the frozenset of active oriented edges), so an entry can
@@ -56,7 +63,7 @@ import contextlib
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
     FrozenSet,
@@ -68,16 +75,17 @@ from typing import (
     Union,
 )
 
-from repro.analysis import RouteReport, Theory
+from repro.analysis import Diagnostic, RouteReport, Theory
 from repro.analysis import analyze as analyze_routes
 from repro.backend.mirror import SqliteMirror
+from repro.backend.rewrite import RewriteDecision
 from repro.cache import BoundedCache
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers
 from repro.exceptions import AdmissionError, QueryError
 from repro.incremental.engine import IncrementalCqaEngine
-from repro.obs import RECORDER, REGISTRY
+from repro.obs import RECORDER, REGISTRY, observe_fallback
 from repro.priorities.priority import PriorityEdge
 from repro.query.ast import Formula
 from repro.relational.rows import Row
@@ -309,15 +317,17 @@ class _WorkUnit:
 
     ``formula`` is parsed and schema-checked, ``variables`` are the
     normalized answer columns, ``active`` the priority state the unit
-    was routed under, ``target`` the engine the route ladder chose and
-    ``report`` the static route analysis (computed when the ladder or a
-    caller first needs it).
+    was routed under, ``target`` the engine the route ladder chose
+    (``None`` while it is being routed) and ``report`` the static route
+    analysis (computed when the ladder or a caller first needs it).
+    Only a pushed engine's probe reads the report's classification, so
+    a unit routed to ``incremental`` does not keep it.
     """
 
     formula: Formula
     variables: Tuple[str, ...]
     active: FrozenSet[PriorityEdge]
-    target: str = "incremental"
+    target: Optional[str] = None
     report: Optional[RouteReport] = None
 
 
@@ -479,6 +489,8 @@ class RequestBroker:
                 )
             unit = _WorkUnit(formula, variables, active)
             unit.target = self._target(entry, active, unit)
+            if unit.target == "incremental" and unit.report is not None:
+                unit.report = replace(unit.report, classification=None)
             self._units.put(key, unit)
         return unit
 
@@ -513,13 +525,16 @@ class RequestBroker:
         authoritative for it."""
         if unit.report is None:
             theory = self._theory(entry, unit.active)
-            unit.report = analyze_routes(
+            report = analyze_routes(
                 theory.schema,
                 theory.dependencies,
                 unit.formula,
                 unit.variables,
                 theory=theory,
             )
+            if unit.target == "incremental":
+                report = replace(report, classification=None)
+            unit.report = report
         return unit.report
 
     def _target(
@@ -543,6 +558,17 @@ class RequestBroker:
             return "incremental"
         return target
 
+    def _blocker(self, entry: _Entry, unit: _WorkUnit) -> Optional[Diagnostic]:
+        """The diagnostic that kept ``unit`` off the pushed engine the
+        ladder picks for its registration and priority state; None when
+        the unit is pushed or that state pushes nothing."""
+        if unit.target != "incremental":
+            return None
+        target = self._target(entry, unit.active)
+        if target == "incremental":
+            return None
+        return self._report(entry, unit).blocking(target)[0]
+
     @property
     def route_report_hits(self) -> int:
         return self._units.stats()["hits"]
@@ -550,6 +576,44 @@ class RequestBroker:
     @property
     def route_report_misses(self) -> int:
         return self._units.stats()["misses"]
+
+    @contextlib.contextmanager
+    def _probe(self, entry: _Entry, unit: _WorkUnit, family: Family):
+        """Yield ``(pushed engine, decision)`` for a unit routed to a
+        pushed engine, inside the guard its execution must share."""
+        # Lazy snapshot: assembling the Database is O(instance), so
+        # hand the mirror a supplier it only calls when dirty.
+        # Refresh and engine construction serialize on mirror_lock;
+        # the pushed SQL runs concurrently across readers.
+        with entry.mirror_lock:
+            if unit.target == "prefsql":
+                pushed_engine = entry.mirror.pref_engine_for(
+                    entry.engine.current_database, unit.active
+                )
+            else:
+                pushed_engine = entry.mirror.engine_for(
+                    entry.engine.current_database
+                )
+        # The pushed section only reads: every side and survivor
+        # table was built under mirror_lock above.  On SQLite builds
+        # without serialized threading even concurrent reads of one
+        # connection must serialize, on the mirror lock.
+        guard = (
+            contextlib.nullcontext()
+            if _SQLITE_SERIALIZED
+            else entry.mirror_lock
+        )
+        with guard:
+            # The probe is keyed exactly like the execution call
+            # (closed queries decide under ()) and under the request's
+            # family, so one cached decision serves both; only it sees
+            # data-dependent (duplicate-row) blocking.  It compiles
+            # from the report's classification.
+            decision = pushed_engine.explain(
+                unit.formula, unit.variables, family=family,
+                classification=self._report(entry, unit).classification,
+            )
+            yield pushed_engine, decision
 
     def _execute(
         self, entry: _Entry, unit: _WorkUnit, family: Family
@@ -560,39 +624,7 @@ class RequestBroker:
         formula, variables = unit.formula, unit.variables
         closed = formula.is_closed and not variables
         if unit.target != "incremental":
-            # Lazy snapshot: assembling the Database is O(instance), so
-            # hand the mirror a supplier it only calls when dirty.
-            # Refresh and engine construction serialize on mirror_lock;
-            # the pushed SQL below runs concurrently across readers.
-            with entry.mirror_lock:
-                if unit.target == "prefsql":
-                    pushed_engine = entry.mirror.pref_engine_for(
-                        entry.engine.current_database, unit.active
-                    )
-                else:
-                    pushed_engine = entry.mirror.engine_for(
-                        entry.engine.current_database
-                    )
-            # The pushed section only reads: every side and survivor
-            # table was built under mirror_lock above.  On SQLite builds
-            # without serialized threading even concurrent reads of one
-            # connection must serialize, on the mirror lock.
-            guard = (
-                contextlib.nullcontext()
-                if _SQLITE_SERIALIZED
-                else entry.mirror_lock
-            )
-            with guard:
-                # The probe is keyed exactly like the execution call
-                # (closed queries decide under ()) and under the
-                # request's family, so one cached decision serves both;
-                # only it sees data-dependent (duplicate-row) blocking.
-                # It compiles from the report's classification.
-                outcome: Optional[Outcome] = None
-                decision = pushed_engine.explain(
-                    formula, variables, family=family,
-                    classification=self._report(entry, unit).classification,
-                )
+            with self._probe(entry, unit, family) as (pushed_engine, decision):
                 if decision.pushed:
                     if closed:
                         outcome = pushed_engine.answer(formula, family)
@@ -600,8 +632,12 @@ class RequestBroker:
                         outcome = pushed_engine.certain_answers(
                             formula, variables, family
                         )
-            if outcome is not None:
-                return outcome, unit.target, outcome.route or unit.target
+                    return outcome, unit.target, outcome.route or unit.target
+            observe_fallback(decision.reason)
+        else:
+            blocker = self._blocker(entry, unit)
+            if blocker is not None:
+                observe_fallback(blocker.message)
         with entry.compute_lock:
             if closed:
                 outcome = entry.engine.answer(formula, family, self.parallel)
@@ -740,6 +776,36 @@ class RequestBroker:
         with entry.rw.read():
             unit = self._unit(entry, Request(query, family, variables, database))
             return self._report(entry, unit)
+
+    def explain(
+        self,
+        query: Union[str, Formula],
+        family: Optional[Family] = None,
+        variables: Optional[Tuple[str, ...]] = None,
+        database: Optional[str] = None,
+    ) -> Optional[RewriteDecision]:
+        """The pushdown decision for one query — nothing executes.
+
+        For a query the ladder routes to a pushed engine, that engine's
+        probe, made exactly as serving makes it; for one the analysis
+        keeps off the mirror, a declined decision whose reason is the
+        blocking diagnostic.  None when the registration pushes nothing
+        in its current priority state (no mirror, or active priority
+        edges with prefsql off).
+        """
+        entry = self._entry(database)
+        with entry.rw.read():
+            unit = self._unit(entry, Request(query, family, variables, database))
+            if unit.target == "incremental":
+                blocker = self._blocker(entry, unit)
+                if blocker is None:
+                    return None
+                return RewriteDecision(
+                    None, blocker.message,
+                    diagnostics=self._report(entry, unit).diagnostics,
+                )
+            with self._probe(entry, unit, family or entry.family) as (_, decision):
+                return decision
 
     # Diagnostics --------------------------------------------------------------
 

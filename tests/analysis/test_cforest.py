@@ -26,6 +26,7 @@ from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.sqlite_io import save_database
+from repro.service.broker import RequestBroker
 
 R_SCHEMA = RelationSchema("R", ["K", "A", "B"])
 T_SCHEMA = RelationSchema("T", ["A", "C", "D"])
@@ -216,11 +217,15 @@ class TestCleanAtomMediation:
         )
         report = self._mediated_report(self.UNSOUND)
         with pushed:
-            got = pushed.answer(self.UNSOUND)
-            assert pushed.last_route.startswith("fallback:")
-            assert report.expected_last_route("sqlite") == pushed.last_route
+            route = pushed.explain(self.UNSOUND).fallback_route
+        assert report.expected_last_route("sqlite") == route
+        with RequestBroker() as broker:
+            broker.register("db", memory.data, self.MEDIATED_FDS)
+            assert broker.explain(self.UNSOUND).fallback_route == route
+            served = broker.query(self.UNSOUND)
         reference = memory.answer(self.UNSOUND)
-        assert got.verdict is reference.verdict
+        assert served.engine == "incremental"
+        assert served.outcome.verdict is reference.verdict
         assert reference.verdict.value == "undetermined"
 
     def test_sound_variant_is_recognized_through_the_clean_atom(self):

@@ -3,8 +3,8 @@
 Every ROADMAP un-rewritable shape (the same fixtures
 ``tests/backend/test_fallback_routing.py`` pins against the engine) is
 classified here by :func:`repro.analysis.analyze`, and the predicted
-``expected_last_route`` is compared against the route the engine
-actually records — the analyzer is only useful if it *is* the routing
+``expected_last_route`` is compared against the route the engine's own
+``explain`` decides — the analyzer is only useful if it *is* the routing
 logic, not a parallel approximation of it.
 """
 
@@ -190,8 +190,8 @@ class TestUnrewritableShapes:
         assert report.plan_kind is None, label
 
         with _sql_engine(dependencies) as engine:
-            engine.answer(query)
-            assert report.expected_last_route("sqlite") == engine.last_route, label
+            route = engine.explain(query).fallback_route
+        assert report.expected_last_route("sqlite") == route, label
 
     @pytest.mark.parametrize(
         "label,query,dependencies,code",
@@ -262,8 +262,8 @@ class TestTheoryCodes:
         assert report.routes["prefsql"] == "prefsql"
 
         with _sql_engine(FDS, self._priority()) as engine:
-            engine.certain_answers(query)
-            assert report.expected_last_route("sqlite") == engine.last_route
+            route = engine.explain(query).fallback_route
+        assert report.expected_last_route("sqlite") == route
 
     def test_ra302_fires_before_shape_analysis(self):
         """SqlCqaEngine refuses priority before looking at the query, so
@@ -274,8 +274,8 @@ class TestTheoryCodes:
         report = _analyze(query, FDS, priority=self._priority())
         assert report.blocking("sqlite")[0].code == "RA302"
         with _sql_engine(FDS, self._priority()) as engine:
-            engine.answer(query)
-            assert report.expected_last_route("sqlite") == engine.last_route
+            route = engine.explain(query).fallback_route
+        assert report.expected_last_route("sqlite") == route
 
     def test_ra303_blocks_prefsql_only(self):
         query = Exists(["z"], Atom("R", [x, y, z]))
@@ -296,14 +296,14 @@ class TestTheoryCodes:
         connection.execute("INSERT INTO R VALUES ('k1', 0, 'u')")
         query = Exists(["z"], Atom("R", [x, y, z]))
         with PrefSqlCqaEngine(connection, FDS, self._priority()) as engine:
-            engine.certain_answers(query)
-            report = _analyze(
-                query,
-                FDS,
-                priority=self._priority(),
-                duplicate_row_relations=frozenset({"R"}),
-            )
-            assert report.expected_last_route("prefsql") == engine.last_route
+            route = engine.explain(query).fallback_route
+        report = _analyze(
+            query,
+            FDS,
+            priority=self._priority(),
+            duplicate_row_relations=frozenset({"R"}),
+        )
+        assert report.expected_last_route("prefsql") == route
 
 
 class TestPrefsqlRoutePrediction:

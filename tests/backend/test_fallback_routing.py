@@ -6,9 +6,11 @@ of a dirty relation, non-key joins of two dirty relations (key-join
 forests push since the C_forest compilation), relations whose FDs
 have differing left-hand sides, unsafe (active-domain) variables, pure
 active-domain queries, shadowed quantifiers, and any declared priority.
-Each gets a test asserting (a) ``explain()`` reports no plan with the
-right reason, (b) ``last_route`` records that reason after execution,
-and (c) the fallback's answers match an independent in-memory engine.
+Each gets a test asserting (a) the engine's ``explain()`` reports no
+plan with the right reason, (b) the broker's ``explain()`` reports the
+same fallback route, and (c) the broker serves the query in memory with
+the answers of an independent in-memory engine.  The pushed engine
+itself declines: ``answer()`` on such a shape raises.
 """
 
 import sqlite3
@@ -19,6 +21,7 @@ from repro.backend import SqlCqaEngine
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.engine import CqaEngine
+from repro.exceptions import QueryError
 from repro.query.ast import (
     And,
     Atom,
@@ -34,6 +37,7 @@ from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.schema import RelationSchema
 from repro.relational.sqlite_io import save_database
+from repro.service.broker import RequestBroker
 
 R_SCHEMA = RelationSchema("R", ["K", "A:number", "B"])
 S_SCHEMA = RelationSchema("S", ["A:number", "C"])
@@ -70,6 +74,15 @@ def _engine(dependencies, priority=()):
     connection = sqlite3.connect(":memory:")
     save_database(_database(), connection, dependencies)
     return SqlCqaEngine(connection, dependencies, priority)
+
+
+def _broker(dependencies, priority=()):
+    """The instance served with the SQLite mirror on, prefsql off."""
+    broker = RequestBroker()
+    broker.register(
+        "db", _database(), dependencies, priority, prefsql_pushdown=False
+    )
+    return broker
 
 
 #: (shape id, query, FDs, phrase the recorded reason must contain).
@@ -156,12 +169,15 @@ class TestDocumentedFallbackShapes:
     ):
         with _engine(dependencies) as engine:
             decision = engine.explain(query)
-            assert decision.plan is None, label
-            assert phrase in decision.reason, (label, decision.reason)
-            verdict = engine.answer(query).verdict
-            assert engine.last_route == f"fallback: {decision.reason}", label
+        assert decision.plan is None, label
+        assert phrase in decision.reason, (label, decision.reason)
+        with _broker(dependencies) as broker:
+            served = broker.explain(query)
+            assert served.fallback_route == decision.fallback_route, label
+            result = broker.query(query)
+        assert result.engine == "incremental", label
         reference = CqaEngine(database, dependencies)
-        assert verdict is reference.answer(query).verdict, label
+        assert result.outcome.verdict is reference.answer(query).verdict, label
 
     @pytest.mark.parametrize(
         "label,query,dependencies,phrase",
@@ -179,13 +195,29 @@ class TestDocumentedFallbackShapes:
             pytest.skip("opening the outer block removes the shadow")
         rest = query.variables[1:]
         opened = Exists(rest, query.body) if rest else query.body
-        with _engine(dependencies) as engine:
-            result = engine.certain_answers(opened)
-            assert engine.last_route.startswith("fallback:"), label
-            assert phrase in engine.last_route, (label, engine.last_route)
+        with _broker(dependencies) as broker:
+            route = broker.explain(opened).fallback_route
+            assert route.startswith("fallback:"), label
+            assert phrase in route, (label, route)
+            result = broker.query(opened).outcome
         reference = CqaEngine(database, dependencies).certain_answers(opened)
         assert result.certain == reference.certain, label
         assert result.possible == reference.possible, label
+
+    @pytest.mark.parametrize(
+        "label,query,dependencies,phrase",
+        UNREWRITABLE_SHAPES,
+        ids=[shape[0] for shape in UNREWRITABLE_SHAPES],
+    )
+    def test_pushed_engine_raises_with_the_reason(
+        self, label, query, dependencies, phrase
+    ):
+        with _engine(dependencies) as engine:
+            reason = engine.explain(query).reason
+            with pytest.raises(QueryError) as raised:
+                engine.answer(query)
+            assert str(raised.value) == reason, label
+            assert engine.last_route is None, label
 
 
 class TestPriorityFallback:
@@ -197,11 +229,16 @@ class TestPriorityFallback:
             decision = engine.explain(query)
             assert decision.plan is None
             assert "preference-blind" in decision.reason
-            result = engine.certain_answers(query)
-            assert engine.last_route == f"fallback: {decision.reason}"
+            with pytest.raises(QueryError, match="preference-blind"):
+                engine.certain_answers(query)
+        # With prefsql off, a prioritized read never reaches the mirror.
+        with _broker(FDS, [(winner, loser)]) as broker:
+            assert broker.explain(query) is None
+            served = broker.query(query)
+        assert served.engine == "incremental"
         reference = CqaEngine(database, FDS, [(winner, loser)]).certain_answers(query)
-        assert result.certain == reference.certain
-        assert result.possible == reference.possible
+        assert served.outcome.certain == reference.certain
+        assert served.outcome.possible == reference.possible
 
     def test_no_priority_same_query_is_pushed(self):
         query = Exists(["b"], Atom("R", [k, a, b]))
@@ -216,18 +253,15 @@ class TestFallbackRouteBookkeeping:
         fallback_query = Exists(
             ["k", "a", "b"], Or([Atom("R", [k, a, b]), Atom("R", [k, a, b])])
         )
-        with _engine(FDS) as engine:
-            engine.certain_answers(pushed_query)
-            assert engine.last_route == "sqlite"
-            engine.answer(fallback_query)
-            assert engine.last_route.startswith("fallback:")
-            engine.certain_answers(pushed_query)
-            assert engine.last_route == "sqlite"
+        with _broker(FDS) as broker:
+            assert broker.query(pushed_query).engine == "sqlite"
+            assert broker.query(fallback_query).engine == "incremental"
+            assert broker.query(pushed_query).engine == "sqlite"
 
     def test_fallback_results_carry_indexed_route(self):
         fallback_query = Exists(
             ["k", "a", "b"], Or([Atom("R", [k, a, b]), Atom("R", [k, a, b])])
         )
-        with _engine(FDS) as engine:
-            answer = engine.answer(fallback_query)
+        with _broker(FDS) as broker:
+            answer = broker.query(fallback_query).outcome
         assert answer.route == "indexed"  # in-memory engine, indexed path

@@ -15,6 +15,7 @@ from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.schema import RelationSchema
 from repro.relational.sqlite_io import save_database
+from repro.service.broker import RequestBroker
 
 R_SCHEMA = RelationSchema("R", ["K", "A:number", "B"])
 FDS = [FunctionalDependency.parse("K -> A", "R")]
@@ -123,25 +124,31 @@ class TestPushdown:
 
 
 class TestFallback:
+    """The engine declines what it cannot push; the broker serves it."""
+
     def test_non_conjunctive_query_falls_back(self, db_path, memory_engine):
         query = "FORALL k, a, b . R(k, a, b) IMPLIES a < 10"
         with SqlCqaEngine(db_path, FDS) as engine:
-            verdict = engine.answer(query).verdict
-            assert engine.last_route.startswith("fallback:")
-        assert verdict is memory_engine.answer(query).verdict
+            reason = engine.explain(query).reason
+            with pytest.raises(QueryError, match="non-conjunctive"):
+                engine.answer(query)
+        database = Database([RelationInstance.from_values(R_SCHEMA, ROWS)])
+        with RequestBroker() as broker:
+            broker.register("db", database, FDS)
+            assert broker.explain(query).reason == reason
+            served = broker.query(query)
+        assert served.engine == "incremental"
+        assert served.outcome.verdict is memory_engine.answer(query).verdict
 
     def test_priority_edges_force_fallback(self, db_path):
-        database = Database([RelationInstance.from_values(R_SCHEMA, ROWS)])
         winner = RelationInstance.from_values(R_SCHEMA, ROWS).row("k1", 1, "x")
         loser = RelationInstance.from_values(R_SCHEMA, ROWS).row("k1", 0, "x")
         edges = [(winner, loser)]
-        reference = CqaEngine(database, FDS, edges, Family.GLOBAL)
         with SqlCqaEngine(db_path, FDS, edges, Family.GLOBAL) as engine:
-            pushed = engine.certain_answers("EXISTS b . R(x, y, b)")
-            assert engine.last_route.startswith("fallback: priority")
-        expected = reference.certain_answers("EXISTS b . R(x, y, b)")
-        assert pushed.certain == expected.certain
-        assert pushed.possible == expected.possible
+            decision = engine.explain("EXISTS b . R(x, y, b)")
+            assert decision.fallback_route.startswith("fallback: priority")
+            with pytest.raises(QueryError, match="priority"):
+                engine.certain_answers("EXISTS b . R(x, y, b)")
 
     def test_differing_fd_lhs_falls_back_and_matches(self, tmp_path):
         scenario = mgr_scenario(with_priority=False)
@@ -153,10 +160,13 @@ class TestFallback:
         reference = CqaEngine(scenario.instance, dependencies)
         query = "EXISTS n, d, s, r . Mgr(n, d, s, r) AND s > 30"
         with SqlCqaEngine(path, dependencies) as engine:
-            verdict = engine.answer(query).verdict
-            assert engine.last_route.startswith("fallback:")
-            assert "left-hand sides" in engine.last_route
-        assert verdict is reference.answer(query).verdict
+            assert "left-hand sides" in engine.explain(query).reason
+        with RequestBroker() as broker:
+            broker.register("mgr", scenario.instance, dependencies)
+            route = broker.explain(query).fallback_route
+            served = broker.query(query)
+        assert "left-hand sides" in route
+        assert served.outcome.verdict is reference.answer(query).verdict
 
 
 class TestExternalTables:

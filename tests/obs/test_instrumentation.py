@@ -19,6 +19,7 @@ from repro.obs import (
     REGISTRY,
     MetricsRegistry,
     observe_cache,
+    observe_fallback,
     observe_query,
     trace,
 )
@@ -85,13 +86,11 @@ class TestObserveQuery:
 
     def test_fallback_reason_split_off_route_label(self):
         registry = MetricsRegistry()
-        observe_query(
-            "prefsql", "fallback: query not rewritable", "G-Rep", 0.2,
-            registry=registry,
-        )
+        observe_fallback("query not rewritable", registry=registry)
+        observe_query("incremental", "indexed", "G-Rep", 0.2, registry=registry)
         snapshot = registry.snapshot()
         assert snapshot["repro_queries_total"]["values"] == {
-            "prefsql,fallback,G-Rep": 1.0
+            "incremental,indexed,G-Rep": 1.0
         }
         assert snapshot["repro_fallbacks_total"]["values"] == {
             "query not rewritable": 1.0

@@ -1,8 +1,8 @@
 """Fallback-reason regressions: every shape prefsql still rejects.
 
-The engine must fall back — with a stable, human-readable reason — for
-exactly the shapes the ROADMAP records as open, and the fallback path
-must agree with the in-memory engine bit-for-bit.
+The engine must decline — with a stable, human-readable reason — exactly
+the shapes outside the pushdown fragment, and the broker that serves
+them in memory instead must agree with the in-memory engine bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.engine import CqaEngine
+from repro.exceptions import QueryError
 from repro.prefsql import PrefSqlCqaEngine
 from repro.query.ast import And, Atom, Exists, Forall, Implies, Not, Or, Var
 from repro.relational.database import Database
@@ -21,6 +22,7 @@ from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
 from repro.relational.schema import RelationSchema
 from repro.relational.sqlite_io import save_database
+from repro.service.broker import RequestBroker
 
 R_SCHEMA = RelationSchema("R", ["K", "A:number", "B"])
 MIXED_SCHEMA = RelationSchema(
@@ -106,33 +108,38 @@ class TestRejectedShapes:
         decision = engine.explain(formula)
         assert not decision.pushed, label
         assert phrase in decision.reason, (label, decision.reason)
-        result = engine.answer(formula, Family.COMMON)
-        assert engine.last_route == f"fallback: {decision.reason}"
+        with pytest.raises(QueryError) as raised:
+            engine.answer(formula, Family.COMMON)
+        assert str(raised.value) == decision.reason, label
+        with RequestBroker() as broker:
+            broker.register("db", _database(), FDS, PRIORITY)
+            assert broker.explain(formula, Family.COMMON).reason == (
+                decision.reason
+            ), label
+            served = broker.query(formula, Family.COMMON)
+        assert served.engine == "incremental", label
         reference = CqaEngine(_database(), FDS, PRIORITY).answer(
             formula, Family.COMMON
         )
-        assert result.verdict is reference.verdict, label
+        assert served.outcome.verdict is reference.verdict, label
 
 
 class TestDuplicateRows:
     def test_prioritized_relation_with_duplicates_falls_back(self):
-        """Duplicate physical rows make rowid-bound edges ambiguous."""
+        """Duplicate physical rows make rowid-bound edges ambiguous, so
+        a file-backed source with them is declined (RA303).  A served
+        mirror is saved from a set of rows and never has them."""
         connection = sqlite3.connect(":memory:")
         save_database(_database(), connection, FDS)
         connection.execute("INSERT INTO R VALUES ('k0', 0, 'x')")
         engine = PrefSqlCqaEngine(connection, FDS, PRIORITY)
-        decision = engine.explain(Exists(["z"], Atom("R", [x, y, z])))
+        query = Exists(["z"], Atom("R", [x, y, z]))
+        decision = engine.explain(query)
         assert not decision.pushed
         assert "duplicate rows" in decision.reason
-        # The fallback engine deduplicates (set semantics) and agrees
-        # with the in-memory answer.
-        result = engine.certain_answers(
-            Exists(["z"], Atom("R", [x, y, z])), family=Family.COMMON
-        )
-        reference = CqaEngine(_database(), FDS, PRIORITY).certain_answers(
-            Exists(["z"], Atom("R", [x, y, z])), family=Family.COMMON
-        )
-        assert result.certain == reference.certain
+        assert decision.diagnostics[0].code == "RA303"
+        with pytest.raises(QueryError, match="duplicate rows"):
+            engine.certain_answers(query, family=Family.COMMON)
 
 
 class TestPriorityOnMixedLhsRelation:

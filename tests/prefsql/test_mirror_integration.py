@@ -157,3 +157,44 @@ class TestIncrementalEdges:
             ).certain_answers(query)
             assert after.certain == reference.certain
             assert after.possible == reference.possible
+
+
+class TestServedMirrorRows:
+    """The served mirror is saved from the broker's set of rows, so no
+    table of it ever holds duplicate rows and the prefsql engine blocks
+    no relation with RA303 (which stays for file-backed sources)."""
+
+    def test_writes_never_duplicate_a_mirror_row(self):
+        from repro.relational.sqlite_io import quote_identifier
+        from repro.service.broker import RequestBroker
+
+        query = "EXISTS b . R(k, a, b)"
+        with RequestBroker() as broker:
+            broker.register("db", _database(), FDS, [EDGE_A, EDGE_B])
+            assert broker.query(query).engine == "prefsql"
+            broker.insert(_row("k1", 3, "u"), "db")
+            broker.insert(_row("k1", 4, "v"), "db")
+            broker.delete(_row("k0", 2, "z"), "db")
+            broker.insert(_row("k0", 1, "y"), "db")  # already present
+            assert broker.query(query).engine == "prefsql"
+            entry = broker._entry("db")
+            pushed = entry.mirror.pref_engine_for(
+                entry.engine.current_database,
+                entry.engine.active_priority_edges(),
+            )
+            assert pushed._blocked == {}
+            connection = entry.mirror._connection
+            tables = [
+                name
+                for (name,) in connection.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            ]
+            assert "R" in tables and len(tables) > 1  # side tables too
+            for name in tables:
+                table = quote_identifier(name)
+                total, distinct = connection.execute(
+                    f"SELECT (SELECT COUNT(*) FROM {table}), "
+                    f"(SELECT COUNT(*) FROM (SELECT DISTINCT * FROM {table}))"
+                ).fetchone()
+                assert total == distinct, name

@@ -11,9 +11,10 @@ databases, functional dependencies, queries, and repair families:
 * **indexed** — the default engine: per-(relation, column) hash
   indexes probed in the planner's selectivity order, contexts shared
   across repairs;
-* **sqlite** — ``SqlCqaEngine`` over a persisted copy; rewritable
-  shapes run as one pushed-down SQL query, everything else exercises
-  the fallback (itself an independent indexed engine instance).
+* **served** — a :class:`~repro.service.broker.RequestBroker` with the
+  SQLite mirror on: rewritable shapes run as one pushed-down SQL query,
+  everything else exercises the broker's fallback (its incremental
+  engine, independent of ``CqaEngine``).
 
 Queries cover the rewritable fragment *and* the shapes outside it
 (disjunction, negation, universal quantification, dirty self-joins),
@@ -37,6 +38,7 @@ from repro.relational.instance import RelationInstance
 from repro.relational.rows import sorted_rows
 from repro.relational.schema import RelationSchema
 from repro.relational.sqlite_io import save_database
+from repro.service.broker import RequestBroker
 
 R_SCHEMA = RelationSchema("R", ["K", "A:number", "B"])
 S_SCHEMA = RelationSchema("S", ["A:number", "C"])
@@ -152,6 +154,17 @@ def _sqlite_engine(database, dependencies, family=Family.REP):
     return SqlCqaEngine(connection, dependencies, family=family)
 
 
+def _served(database, dependencies, priority=(), family=Family.REP):
+    """The database registered on a broker with the SQLite mirror on
+    and prefsql off: prioritized reads stay in memory."""
+    broker = RequestBroker()
+    broker.register(
+        "db", database, dependencies, priority, family,
+        prefsql_pushdown=False,
+    )
+    return broker
+
+
 class TestOpenQueriesAgreeAcrossRoutes:
     @pytest.mark.parametrize("variant", sorted(FD_VARIANTS), ids=str)
     @given(databases())
@@ -160,7 +173,7 @@ class TestOpenQueriesAgreeAcrossRoutes:
         dependencies = FD_VARIANTS[variant]
         naive = CqaEngine(database, dependencies, naive=True)
         indexed = CqaEngine(database, dependencies)
-        with _sqlite_engine(database, dependencies) as pushed:
+        with _served(database, dependencies) as broker:
             for label, formula in OPEN_QUERIES:
                 reference = naive.certain_answers(formula)
                 fast = indexed.certain_answers(formula)
@@ -168,18 +181,19 @@ class TestOpenQueriesAgreeAcrossRoutes:
                 assert fast.certain == reference.certain, (label, variant)
                 assert fast.possible == reference.possible, (label, variant)
                 assert fast.variables == reference.variables, (label, variant)
-                sql_result = pushed.certain_answers(formula)
+                served = broker.query(formula)
+                sql_result = served.outcome
                 assert sql_result.certain == reference.certain, (
                     label,
                     variant,
-                    pushed.last_route,
+                    served.route,
                 )
                 assert sql_result.possible == reference.possible, (
                     label,
                     variant,
-                    pushed.last_route,
+                    served.route,
                 )
-                if pushed.last_route == "sqlite":
+                if served.engine == "sqlite":
                     assert sql_result.route == "sqlite", label
 
 
@@ -191,24 +205,26 @@ class TestClosedQueriesAgreeAcrossRoutes:
         dependencies = FD_VARIANTS[variant]
         naive = CqaEngine(database, dependencies, naive=True)
         indexed = CqaEngine(database, dependencies)
-        with _sqlite_engine(database, dependencies) as pushed:
+        with _served(database, dependencies) as broker:
             for label, formula in CLOSED_QUERIES:
                 reference = naive.answer(formula)
                 fast = indexed.answer(formula)
                 assert fast.verdict is reference.verdict, (label, variant)
                 assert fast.repairs_considered == reference.repairs_considered
                 assert fast.satisfying == reference.satisfying, (label, variant)
-                assert (
-                    pushed.answer(formula).verdict is reference.verdict
-                ), (label, variant, pushed.last_route)
+                served = broker.query(formula)
+                assert served.outcome.verdict is reference.verdict, (
+                    label, variant, served.route,
+                )
 
 
 class TestAllRepairFamiliesAgree:
     """Per-family agreement, including under a declared priority.
 
-    With a priority the SQLite engine falls back to in-memory streaming
-    (its own indexed engine) — the assertion still pins all three code
-    paths together, now with the preferred-family filters active.
+    With a priority the preference-blind SQLite engine declines, and a
+    broker with prefsql off serves the query in memory — the assertion
+    still pins all three code paths together, now with the
+    preferred-family filters active.
     """
 
     @given(databases())
@@ -256,7 +272,9 @@ class TestAllRepairFamiliesAgree:
             if edges:
                 with _sqlite_engine(database, dependencies, family) as pushed:
                     pushed.priority_edges = tuple(edges)
-                    sql_result = pushed.certain_answers(query)
-                    assert pushed.last_route.startswith("fallback: priority")
+                    decision = pushed.explain(query)
+                assert decision.fallback_route.startswith("fallback: priority")
+                with _served(database, dependencies, edges, family) as broker:
+                    sql_result = broker.query(query).outcome
                 assert sql_result.certain == reference.certain, family
                 assert sql_result.possible == reference.possible, family

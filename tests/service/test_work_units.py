@@ -3,8 +3,9 @@
 Every request text is parsed, checked and routed once into a cached
 work unit.  These tests pin that ``backend_of`` reports the engine that
 actually serves a rewritable query under every registration and
-priority state, that a growing schema re-analyzes the unit, and that a
-repeated text costs no parse.
+priority state, that a growing schema re-analyzes the unit, that a
+repeated text costs no parse, and that only a unit routed to a pushed
+engine keeps the classification its probe compiles from.
 """
 
 from __future__ import annotations
@@ -94,3 +95,40 @@ def test_a_repeated_text_is_parsed_once(monkeypatch):
         assert not second.cached
         assert (first.engine, second.engine) == ("sqlite", "sqlite")
     assert calls == [QUERY]
+
+
+@pytest.mark.parametrize(
+    "mirror, query",
+    [(True, "FORALL k, a . R(k, a) IMPLIES a < 9"), (False, QUERY)],
+    ids=["blocked-on-a-mirror", "no-mirror"],
+)
+def test_a_unit_served_in_memory_keeps_no_classification(mirror, query):
+    with RequestBroker() as broker:
+        broker.register("db", _instance(), FDS, sqlite_pushdown=mirror)
+        result = broker.query(query)
+        assert result.engine == "incremental"
+        report = broker.analyze(query)
+        assert report.classification is None
+        # Dropping it changes nothing the report is compared by.
+        engine = broker.engine("db")
+        fresh = analyze(
+            engine.schema, engine.dependencies, parse_query(query), ()
+        )
+        assert fresh.classification is not None
+        assert report == fresh
+
+
+@pytest.mark.parametrize(
+    "priority",
+    [(), ((Row(R, [1, 1]), Row(R, [1, 2])),)],
+    ids=["unprioritized", "prioritized"],
+)
+def test_a_pushed_unit_keeps_its_classification(priority):
+    with RequestBroker() as broker:
+        broker.register("db", _instance(), FDS, priority)
+        report = broker.analyze(QUERY)
+        assert report.classification is not None
+        target = "prefsql" if priority else "sqlite"
+        assert broker.explain(QUERY).pushed
+        assert broker.query(QUERY).engine == target
+        assert broker.analyze(QUERY) is report
