@@ -90,6 +90,18 @@ def _batch_queries(distinct: int) -> List[str]:
     ]
 
 
+def _shape_queries(distinct: int) -> List[str]:
+    """The probes of :func:`_batch_queries`, each of its own shape: the
+    broker keeps one work unit per text with its literals lifted, so
+    the key variable's name changes with the threshold."""
+    return [
+        f"EXISTS a{threshold}, b1, b2, c1, c2, d1, d2 . "
+        f"R(a{threshold}, b1, c1, d1) AND R(a{threshold}, b2, c2, d2) "
+        f"AND b1 != b2 AND a{threshold} >= {threshold}"
+        for threshold in range(distinct)
+    ]
+
+
 def measure_broker(length: int, requests: int, distinct: int, repeats: int):
     """Broker batch (dedup + memo) vs a per-request serial loop."""
     from repro.service.broker import Request, RequestBroker
@@ -128,8 +140,8 @@ def measure_broker(length: int, requests: int, distinct: int, repeats: int):
 def measure_route_decisions(length: int, distinct: int, warm_repeats: int):
     """Broker route-decision time, cold (analysis) vs cached (lookup).
 
-    Every distinct query is analyzed once on a fresh broker (cold: full
-    parse + static analysis, a RouteReport-cache miss) and then
+    Every distinct query shape is analyzed once on a fresh broker
+    (cold: full parse + static analysis, a work-unit miss) and then
     ``warm_repeats`` more times (cached: the fingerprint lookup the
     serving path performs on every request once the report exists).
     """
@@ -137,7 +149,7 @@ def measure_route_decisions(length: int, distinct: int, warm_repeats: int):
 
     broker = RequestBroker()
     broker.register("chain", chain_instance(length), CHAIN_FDS)
-    queries = _batch_queries(distinct)
+    queries = _shape_queries(distinct)
 
     cold_samples = []
     for query in queries:

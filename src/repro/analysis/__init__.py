@@ -7,7 +7,7 @@ each engine takes, as a cacheable :class:`RouteReport`, on top of a
 :class:`Theory` digested once per theory.
 """
 
-from .analyzer import Theory, analyze, profiled_relations
+from .analyzer import Theory, analyze, profiled_relations, restate
 from .cforest import CForest, plan_forest, recognize_c_forest
 from .model import (
     CATALOG,
@@ -44,5 +44,6 @@ __all__ = [
     "plan_forest",
     "profiled_relations",
     "recognize_c_forest",
+    "restate",
     "theory_fingerprint",
 ]

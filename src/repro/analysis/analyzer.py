@@ -36,6 +36,7 @@ engine's ``last_route`` string bit-for-bit.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import (
     AbstractSet,
     Dict,
@@ -147,15 +148,57 @@ class Theory:
         )
 
 
+def _fingerprint(
+    theory: Theory,
+    query: str,
+    variables: Optional[Sequence[str]],
+    naive: bool,
+) -> str:
+    return theory_fingerprint(
+        {
+            "theory": theory.digest,
+            "query": query,
+            "variables": list(variables) if variables is not None else None,
+            "naive": naive,
+        }
+    )
+
+
+def restate(
+    report: RouteReport,
+    query: str,
+    theory: Theory,
+    variables: Optional[Sequence[str]] = None,
+    naive: bool = False,
+) -> RouteReport:
+    """``report`` restated for the formula whose text is ``query``.
+
+    ``report`` analyzed a formula under ``theory``, ``variables`` and
+    ``naive`` that differs from this one only in its constants, and no
+    message of it names a constant: classification does not look at
+    values beyond their domain, so only the text, the fingerprint and
+    the diagnostic spans change.  The result is what :func:`analyze`
+    returns for the formula itself.
+    """
+    return replace(
+        report,
+        query=query,
+        fingerprint=_fingerprint(theory, query, variables, naive),
+        diagnostics=tuple(_locate(d, query) for d in report.diagnostics),
+    )
+
+
 def _locate(diagnostic: Diagnostic, query_text: Optional[str]) -> Diagnostic:
-    """Best-effort span: first occurrence of the subject token."""
+    """``diagnostic`` spanning the first occurrence of its subject
+    token in ``query_text`` (no span when there is none)."""
+    span = None
     if query_text and diagnostic.subject:
         start = query_text.find(diagnostic.subject)
         if start >= 0:
-            return diagnostic.with_span(
-                Span(start, start + len(diagnostic.subject))
-            )
-    return diagnostic
+            span = Span(start, start + len(diagnostic.subject))
+    if span == diagnostic.span:
+        return diagnostic
+    return replace(diagnostic, span=span)
 
 
 def analyze(
@@ -225,14 +268,7 @@ def analyze(
 
     return RouteReport(
         query=text,
-        fingerprint=theory_fingerprint(
-            {
-                "theory": theory.digest,
-                "query": str(query),
-                "variables": list(variables) if variables is not None else None,
-                "naive": naive,
-            }
-        ),
+        fingerprint=_fingerprint(theory, str(query), variables, naive),
         routes=routes,
         diagnostics=tuple(_locate(d, text) for d in diagnostics),
         plan_kind=classification.plan_kind,

@@ -47,6 +47,7 @@ from repro.query.ast import (
     Const,
     Exists,
     Formula,
+    Slot,
     Var,
 )
 from repro.relational.domain import AttributeType
@@ -119,11 +120,11 @@ def _term_domain(
     term, variable_types: Dict[str, AttributeType]
 ) -> AttributeType:
     if isinstance(term, Const):
-        return (
-            AttributeType.NUMBER
-            if isinstance(term.value, int)
-            else AttributeType.NAME
+        value = term.value
+        number = (
+            value.number if isinstance(value, Slot) else isinstance(value, int)
         )
+        return AttributeType.NUMBER if number else AttributeType.NAME
     return variable_types[term.name]
 
 

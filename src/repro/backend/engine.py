@@ -48,7 +48,7 @@ from repro.obs import annotate, observe_query
 from repro.obs import span as obs_span
 from repro.query.ast import Formula
 from repro.query.sql import sql_to_formula
-from repro.query.validate import parse_checked
+from repro.query.validate import CheckedQuery, checked
 from repro.relational.sqlite_io import load_schema
 
 # The catalogued diagnostic renders the historical reason string
@@ -85,8 +85,10 @@ class SqlCqaEngine:
         )
         # Formulas are hashable, so explain() followed by answer()/
         # certain_answers() (the session routing pattern) and repeated
-        # queries compile once.  Bounded: a mirror's engine lives as
-        # long as its data, and client traffic brings new query texts.
+        # queries compile once; the broker passes templates, so one
+        # decision serves every text of a shape.  Bounded: a mirror's
+        # engine lives as long as its data, and client traffic brings
+        # new query shapes.
         self._decision_cache: BoundedCache[
             Tuple[Formula, Optional[Tuple[str, ...]]], RewriteDecision
         ] = BoundedCache(1024, "sql_decision")
@@ -108,12 +110,9 @@ class SqlCqaEngine:
 
     # Routing -----------------------------------------------------------------
 
-    def _to_formula(self, query: Union[str, Formula]) -> Formula:
-        return parse_checked(query, self.schema)
-
     def explain(
         self,
-        query: Union[str, Formula],
+        query: Union[str, Formula, CheckedQuery],
         variables: Optional[Sequence[str]] = None,
         family: Optional[Family] = None,
         classification: Optional[Classification] = None,
@@ -125,10 +124,15 @@ class SqlCqaEngine:
         family-independent (no priority, all families coincide).
         ``classification``, when the caller has one for this query and
         schema (a :class:`~repro.analysis.RouteReport` carries it),
-        spares a second classification on a decision-cache miss.
+        spares a second classification on a decision-cache miss.  A
+        :class:`~repro.query.validate.CheckedQuery` is not checked
+        again: the broker passes its work unit's template, and the
+        decision it gets is the template's (as ``answer()`` and
+        ``certain_answers()`` run it with the query's values).
         """
-        formula = self._to_formula(query)
-        return self._decide(formula, variables, classification)
+        return self._decide(
+            checked(query, self.schema).formula, variables, classification
+        )
 
     def _decide(
         self,
@@ -152,7 +156,7 @@ class SqlCqaEngine:
 
     def _run(
         self,
-        formula: Formula,
+        query: CheckedQuery,
         variables: Tuple[str, ...],
         family: Family,
         started: float,
@@ -160,13 +164,13 @@ class SqlCqaEngine:
         """Decide and execute one query; a declined query raises
         :class:`QueryError` with the decision's reason."""
         with obs_span("route-decision"):
-            decision = self._decide(formula, variables)
+            decision = self._decide(query.formula, variables)
         if decision.plan is None:
             raise QueryError(decision.reason)
         self.last_route = "sqlite"
         annotate(route="sqlite")
         with obs_span("sql-execute"):
-            result = decision.plan.run(self._connection)
+            result = decision.plan.run(self._connection, query.values)
         observe_query(
             "sql", "sqlite", str(family), time.perf_counter() - started
         )
@@ -175,15 +179,17 @@ class SqlCqaEngine:
     # Closed queries ----------------------------------------------------------
 
     def answer(
-        self, query: Union[str, Formula], family: Optional[Family] = None
+        self,
+        query: Union[str, Formula, CheckedQuery],
+        family: Optional[Family] = None,
     ) -> ClosedAnswer:
         """Three-valued verdict of a closed query (Definition 3)."""
         started = time.perf_counter()
         family = family or self.family
-        formula = self._to_formula(query)
-        if not formula.is_closed:
+        query = checked(query, self.schema)
+        if not query.formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        result = self._run(formula, (), family, started)
+        result = self._run(query, (), family, started)
         verdict = Verdict.of(bool(result.certain), bool(result.possible))
         return ClosedAnswer(family, verdict, 0, 0, None, route="sqlite")
 
@@ -197,17 +203,17 @@ class SqlCqaEngine:
 
     def certain_answers(
         self,
-        query: Union[str, Formula],
+        query: Union[str, Formula, CheckedQuery],
         variables: Optional[Tuple[str, ...]] = None,
         family: Optional[Family] = None,
     ) -> OpenAnswers:
         """Certain/possible answer sets of an open query."""
         started = time.perf_counter()
         family = family or self.family
-        formula = self._to_formula(query)
+        query = checked(query, self.schema)
         if variables is None:
-            variables = tuple(sorted(formula.free_variables()))
-        result = self._run(formula, tuple(variables), family, started)
+            variables = tuple(sorted(query.formula.free_variables()))
+        result = self._run(query, tuple(variables), family, started)
         return OpenAnswers(
             family,
             tuple(variables),

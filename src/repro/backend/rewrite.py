@@ -93,7 +93,7 @@ in-memory engine.
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     AbstractSet,
     Dict,
@@ -114,7 +114,7 @@ from repro.analysis.profiles import (  # noqa: F401  (re-exports)
 )
 from repro.analysis.shapes import Classification, classify
 from repro.constraints.fd import FunctionalDependency
-from repro.query.ast import Comparison, Const, Formula
+from repro.query.ast import Comparison, Const, Formula, Slot
 from repro.relational.domain import Value
 from repro.relational.schema import DatabaseSchema
 from repro.relational.sqlite_io import quote_identifier
@@ -151,16 +151,33 @@ class RewritePlan:
     def is_boolean(self) -> bool:
         return not self.answer_variables
 
-    def run(self, connection: sqlite3.Connection) -> PlanResult:
-        """Execute the plan's SQL and collect both answer sets."""
+    def bind(self, values: Sequence[Value]) -> "RewritePlan":
+        """The plan of a template's text: each :class:`~repro.query.ast.
+        Slot` parameter replaced by its value (a template's plan binds
+        one parameter per literal, so its SQL serves every text)."""
+        if not values:
+            return self
+        return replace(
+            self,
+            certain_params=_bound(self.certain_params, values),
+            possible_params=_bound(self.possible_params, values),
+        )
+
+    def run(
+        self, connection: sqlite3.Connection, values: Sequence[Value] = ()
+    ) -> PlanResult:
+        """Execute the plan's SQL and collect both answer sets;
+        ``values`` fill a template plan's slots."""
         if self.kind == "empty":
             return PlanResult(frozenset(), frozenset())
-        certain = self._execute(connection, self.certain_sql, self.certain_params)
+        certain = self._execute(
+            connection, self.certain_sql, _bound(self.certain_params, values)
+        )
         if self.kind == "clean":
             # Consistent relations are identical in every repair.
             return PlanResult(certain, certain)
         possible = self._execute(
-            connection, self.possible_sql, self.possible_params
+            connection, self.possible_sql, _bound(self.possible_params, values)
         )
         return PlanResult(certain, possible)
 
@@ -175,6 +192,17 @@ class RewritePlan:
         if self.is_boolean:
             return frozenset({()}) if records else frozenset()
         return frozenset(tuple(record) for record in records)
+
+
+def _bound(
+    params: Tuple[Value, ...], values: Sequence[Value]
+) -> Tuple[Value, ...]:
+    if not values:
+        return params
+    return tuple(
+        values[param.index] if isinstance(param, Slot) else param
+        for param in params
+    )
 
 
 @dataclass(frozen=True)
@@ -196,6 +224,13 @@ class RewriteDecision:
     @property
     def pushed(self) -> bool:
         return self.plan is not None
+
+    def bind(self, values: Sequence[Value]) -> "RewriteDecision":
+        """The decision of a template's text (see :meth:`RewritePlan.
+        bind`)."""
+        if self.plan is None or not values:
+            return self
+        return replace(self, plan=self.plan.bind(values))
 
     @property
     def fallback_route(self) -> str:

@@ -54,7 +54,7 @@ from repro.query.parser import parse_query  # noqa: F401
 from repro.query.sql import sql_to_formula
 from repro.obs import annotate, observe_query
 from repro.obs import span as obs_span
-from repro.query.validate import parse_checked
+from repro.query.validate import CheckedQuery, parse_checked
 from repro.relational.database import Database
 from repro.relational.domain import Value
 from repro.relational.instance import RelationInstance
@@ -277,7 +277,7 @@ class IncrementalCqaEngine:
 
     # Query plumbing -----------------------------------------------------------
 
-    def _to_formula(self, query: Union[str, Formula]) -> Formula:
+    def _to_formula(self, query: Union[str, Formula, CheckedQuery]) -> Formula:
         return parse_checked(query, self.schema)
 
     def _witness_index(

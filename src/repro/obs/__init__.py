@@ -118,8 +118,10 @@ def observe_cache(
 
     ``cache`` names the family of a :class:`~repro.cache.BoundedCache`:
     "answer" (broker result cache), "route_report" (broker work
-    units: checked formula, route analysis and target), "sql_decision" / "prefsql_decision" (the SQL engines'
-    routing decisions), "context" (evaluator contexts),
+    units, one per constant-lifted text: checked template formula,
+    route analysis and target), "sql_decision" / "prefsql_decision"
+    (the SQL engines' routing decisions, one per template and family
+    on the served path), "context" (evaluator contexts),
     "component_repair" (incremental per-component repair and preferred
     fragments), or "component_graph" (their induced subgraphs).
     """

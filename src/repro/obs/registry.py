@@ -263,8 +263,8 @@ class MetricFamily:
     """
 
     __slots__ = (
-        "name", "help", "kind", "label_names", "_registry", "_children",
-        "_lock", "_buckets",
+        "name", "help", "kind", "label_names", "_label_set", "_registry",
+        "_children", "_lock", "_buckets",
     )
 
     def __init__(
@@ -280,6 +280,7 @@ class MetricFamily:
         self.help = help_text
         self.kind = kind
         self.label_names = label_names
+        self._label_set = frozenset(label_names)
         self._registry = registry
         self._children: Dict[Tuple[str, ...], object] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
@@ -287,12 +288,14 @@ class MetricFamily:
 
     def labels(self, **labels: object) -> object:
         """The child metric for one label-value combination (created lazily)."""
-        if set(labels) != set(self.label_names):
+        # The keys view compares with the declared names as a set
+        # without building one per call.
+        if labels.keys() != self._label_set:
             raise ValueError(
                 f"{self.name} expects labels {self.label_names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        key = tuple(str(labels[name]) for name in self.label_names)
+        key = tuple([str(labels[name]) for name in self.label_names])
         # Double-checked fast path: dict.get on a never-shrinking dict
         # is atomic under the GIL; creation re-checks under the lock.
         child = self._children.get(key)  # lint: unguarded-ok
@@ -310,7 +313,8 @@ class MetricFamily:
     def _solo(self) -> object:
         if self.label_names:
             raise ValueError(f"{self.name} is labeled; call .labels() first")
-        return self.labels()
+        child = self._children.get(())  # lint: unguarded-ok
+        return child if child is not None else self.labels()
 
     # Unlabeled conveniences -------------------------------------------------
 

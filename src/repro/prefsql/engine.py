@@ -85,7 +85,7 @@ from repro.priorities.priority import (
 )
 from repro.query.ast import Formula, relations_of
 from repro.query.sql import sql_to_formula
-from repro.query.validate import parse_checked
+from repro.query.validate import CheckedQuery, checked
 from repro.relational.sqlite_io import load_schema
 
 #: The families with survivor tables (``Rep`` keeps every repair).
@@ -156,9 +156,11 @@ class PrefSqlCqaEngine:
         self._survivors: Dict[Tuple[str, Family], Tuple[str, bool]] = {}  # guarded-by: _lock
         self._conflicts_materialized: Set[str] = set()  # guarded-by: _lock
         self._build_survivors()
+        # One decision per formula, variables and family; the broker
+        # passes templates, so one serves every text of a shape.
         # Bounded: the broker keeps one engine alive per database for
         # the lifetime of its data, while client traffic brings new
-        # query texts.
+        # query shapes.
         self._decisions: BoundedCache[
             Tuple[Formula, Optional[Tuple[str, ...]], Family], RewriteDecision
         ] = BoundedCache(1024, "prefsql_decision")
@@ -287,12 +289,9 @@ class PrefSqlCqaEngine:
 
     # Routing -----------------------------------------------------------------
 
-    def _to_formula(self, query: Union[str, Formula]) -> Formula:
-        return parse_checked(query, self.schema)
-
     def explain(
         self,
-        query: Union[str, Formula],
+        query: Union[str, Formula, CheckedQuery],
         variables: Optional[Sequence[str]] = None,
         family: Optional[Family] = None,
         classification: Optional[Classification] = None,
@@ -301,11 +300,17 @@ class PrefSqlCqaEngine:
 
         ``classification``, when the caller has one for this query and
         schema (a :class:`~repro.analysis.RouteReport` carries it),
-        spares a second classification on a decision-cache miss.
+        spares a second classification on a decision-cache miss.  A
+        :class:`~repro.query.validate.CheckedQuery` is not checked
+        again: the broker passes its work unit's template, and the
+        decision it gets is the template's (as ``answer()`` and
+        ``certain_answers()`` run it with the query's values).
         """
-        formula = self._to_formula(query)
         return self._decide(
-            formula, variables, family or self.family, classification
+            checked(query, self.schema).formula,
+            variables,
+            family or self.family,
+            classification,
         )
 
     def _decide(
@@ -366,7 +371,7 @@ class PrefSqlCqaEngine:
 
     def _run(
         self,
-        formula: Formula,
+        query: CheckedQuery,
         variables: Tuple[str, ...],
         family: Family,
         started: float,
@@ -375,13 +380,13 @@ class PrefSqlCqaEngine:
         declined query raises :class:`QueryError` with the decision's
         reason."""
         with obs_span("route-decision"):
-            decision = self._decide(formula, variables, family)
+            decision = self._decide(query.formula, variables, family)
         if decision.plan is None:
             raise QueryError(decision.reason)
         self.last_route = decision.route
         annotate(route=decision.route)
         with obs_span("winnow-execute", route=decision.route):
-            result = decision.plan.run(self._connection)
+            result = decision.plan.run(self._connection, query.values)
         observe_query(
             "prefsql", decision.route, str(family),
             time.perf_counter() - started,
@@ -391,15 +396,17 @@ class PrefSqlCqaEngine:
     # Closed queries ----------------------------------------------------------
 
     def answer(
-        self, query: Union[str, Formula], family: Optional[Family] = None
+        self,
+        query: Union[str, Formula, CheckedQuery],
+        family: Optional[Family] = None,
     ) -> ClosedAnswer:
         """Three-valued verdict of a closed query (Definition 3)."""
         started = time.perf_counter()
         family = family or self.family
-        formula = self._to_formula(query)
-        if not formula.is_closed:
+        query = checked(query, self.schema)
+        if not query.formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        result, route = self._run(formula, (), family, started)
+        result, route = self._run(query, (), family, started)
         verdict = Verdict.of(bool(result.certain), bool(result.possible))
         return ClosedAnswer(family, verdict, 0, 0, None, route=route)
 
@@ -413,17 +420,17 @@ class PrefSqlCqaEngine:
 
     def certain_answers(
         self,
-        query: Union[str, Formula],
+        query: Union[str, Formula, CheckedQuery],
         variables: Optional[Tuple[str, ...]] = None,
         family: Optional[Family] = None,
     ) -> OpenAnswers:
         """Certain/possible answer sets of an open query."""
         started = time.perf_counter()
         family = family or self.family
-        formula = self._to_formula(query)
+        query = checked(query, self.schema)
         if variables is None:
-            variables = tuple(sorted(formula.free_variables()))
-        result, route = self._run(formula, tuple(variables), family, started)
+            variables = tuple(sorted(query.formula.free_variables()))
+        result, route = self._run(query, tuple(variables), family, started)
         return OpenAnswers(
             family,
             tuple(variables),

@@ -49,6 +49,27 @@ class Const:
 Term = Union[Var, Const]
 
 
+@dataclass(frozen=True)
+class Slot:
+    """The value of a :class:`Const` in a query *template*: a literal
+    lifted out of the query text (see :func:`repro.query.parser.
+    parse_template`).
+
+    ``index`` names the position of the literal's value among the
+    text's literals; ``number`` its domain (a natural number, else a
+    name).  A slot renders as ``?``, so a template's text marks where
+    the values go and a message naming a slot shows it.
+    """
+
+    index: int
+    number: bool
+
+    def __str__(self) -> str:
+        return "?"
+
+    __repr__ = __str__
+
+
 def coerce_term(term: Union[Term, Value]) -> Term:
     """Lift raw Python values into :class:`Const`; pass terms through."""
     if isinstance(term, (Var, Const)):
@@ -468,3 +489,52 @@ def is_quantifier_free(formula: Formula) -> bool:
 def is_ground(formula: Formula) -> bool:
     """Whether the formula is quantifier-free and variable-free."""
     return is_quantifier_free(formula) and formula.is_closed
+
+
+# ---------------------------------------------------------------------------
+# Query templates
+# ---------------------------------------------------------------------------
+
+
+def _map_terms(node: Formula, term) -> Formula:
+    """``node`` with every term passed through ``term``.  Subtrees
+    whose terms all map to themselves are kept, cached hashes
+    included."""
+    if isinstance(node, Atom):
+        terms = tuple([term(t) for t in node.terms])
+        return node if terms == node.terms else Atom(node.relation, terms)
+    if isinstance(node, Comparison):
+        left = term(node.left)
+        right = term(node.right)
+        if left is node.left and right is node.right:
+            return node
+        return Comparison(node.op, left, right)
+    if isinstance(node, Not):
+        body = _map_terms(node.body, term)
+        return node if body is node.body else Not(body)
+    if isinstance(node, (And, Or)):
+        parts = [_map_terms(part, term) for part in node.parts]
+        if all(new is old for new, old in zip(parts, node.parts)):
+            return node
+        return type(node)(parts)
+    if isinstance(node, Implies):
+        antecedent = _map_terms(node.antecedent, term)
+        consequent = _map_terms(node.consequent, term)
+        if antecedent is node.antecedent and consequent is node.consequent:
+            return node
+        return Implies(antecedent, consequent)
+    if isinstance(node, (Exists, Forall)):
+        body = _map_terms(node.body, term)
+        return node if body is node.body else type(node)(node.variables, body)
+    return node
+
+
+def bind(template: Formula, values: Sequence[Value]) -> Formula:
+    """The formula of ``template`` with each slot replaced by its value."""
+
+    def term(t: Term) -> Term:
+        if isinstance(t, Const) and isinstance(t.value, Slot):
+            return Const(values[t.value.index])
+        return t
+
+    return _map_terms(template, term)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.exceptions import QuerySyntaxError
 from repro.query.ast import (
@@ -47,13 +47,21 @@ from repro.query.ast import (
     Implies,
     Not,
     Or,
+    Slot,
     Term,
     TrueFormula,
     Var,
 )
+from repro.relational.domain import Value
+
+#: What a number and a quoted literal become in a template key (see
+#: :func:`lift_literals`): private-use code points, which the tokenizer
+#: reads as slots in a key and rejects in a query text.
+_NUMBER_MARK = "\ue000"
+_NAME_MARK = "\ue001"
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<number>\d+)
   | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
@@ -61,6 +69,7 @@ _TOKEN_RE = re.compile(
   | (?P<op><=|>=|!=|<>|≠|≤|≥|=|<|>)
   | (?P<punct>[(),.])
   | (?P<unicode>[∃∀∧∨¬→])
+  | (?P<slot>[{_NUMBER_MARK}{_NAME_MARK}])
     """,
     re.VERBOSE,
 )
@@ -81,17 +90,19 @@ _OP_ALIASES = {"<>": "!=", "≠": "!=", "≤": "<=", "≥": ">="}
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # 'keyword' | 'ident' | 'number' | 'string' | 'op' | 'punct' | 'eof'
+    kind: str  # keyword | ident | number | string | slot | op | punct | eof
     text: str
     position: int
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str, template: bool = False) -> List[_Token]:
+    """The tokens of ``text``; of a template key (see
+    :func:`lift_literals`) when ``template``, where marks are slots."""
     tokens: List[_Token] = []
     position = 0
     while position < len(text):
         match = _TOKEN_RE.match(text, position)
-        if match is None:
+        if match is None or (match.lastgroup == "slot" and not template):
             raise QuerySyntaxError(
                 f"unexpected character {text[position]!r} at offset {position}"
             )
@@ -113,6 +124,8 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append(_Token("number", value, match.start()))
         elif match.lastgroup == "string":
             tokens.append(_Token("string", value, match.start()))
+        elif match.lastgroup == "slot":
+            tokens.append(_Token("slot", value, match.start()))
         else:
             tokens.append(_Token("punct", value, match.start()))
     tokens.append(_Token("eof", "", len(text)))
@@ -124,11 +137,53 @@ def _unquote(literal: str) -> str:
     return re.sub(r"\\(.)", r"\1", body)
 
 
+#: The comments and literals of a query text, read as :data:`_TOKEN_RE`
+#: reads them.  Every match starts with one of ``# ' "`` or a digit,
+#: which lets the engine skip to those characters.  A digit run counts
+#: only where it starts a token: ``b1`` and ``x_2`` are names, and after
+#: a name or a non-ASCII digit a digit is inside the run that began
+#: there.
+_LITERAL_RE = re.compile(
+    r"[#'\"\d](?:(?<=\#)[^\n]*"
+    r"|(?<=')(?:[^'\\]|\\.)*'"
+    r'|(?<=")(?:[^"\\]|\\.)*"'
+    r"|(?<![A-Za-z_\d]\d)\d*)"
+)
+
+
+def lift_literals(text: str) -> Tuple[str, Tuple[Value, ...]]:
+    """One pass over ``text``: ``(key, values)``, where ``key`` is the
+    text with each number and quoted literal replaced by a mark of its
+    domain and each comment by a space, and ``values`` are the
+    literals' values in text order — the constants
+    :func:`parse_query` would build for them.
+
+    Texts that differ only in their literals (and comments) share a
+    key, which :func:`parse_template` parses.  Name constants written
+    as identifiers (``Mary``) are part of the key, not values.
+    """
+    values: List[Value] = []
+
+    def mark(match: "re.Match[str]") -> str:
+        literal = match.group()
+        first = literal[0]
+        if first == "#":
+            return " "
+        if first == "'" or first == '"':
+            values.append(_unquote(literal))
+            return _NAME_MARK
+        values.append(int(literal))
+        return _NUMBER_MARK
+
+    return _LITERAL_RE.sub(mark, text), tuple(values)
+
+
 class _Parser:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, template: bool = False) -> None:
         self._text = text
-        self._tokens = _tokenize(text)
+        self._tokens = _tokenize(text, template)
         self._index = 0
+        self.slots = 0
 
     # Token helpers ---------------------------------------------------------
 
@@ -259,9 +314,23 @@ class _Parser:
             if token.text[0].islower() or token.text[0] == "_":
                 return Var(token.text)
             return Const(token.text)
+        if token.kind == "slot":
+            self._advance()
+            self.slots += 1
+            return Const(Slot(self.slots - 1, token.text == _NUMBER_MARK))
         raise self._error("expected a term (variable or constant)")
 
 
 def parse_query(text: str) -> Formula:
     """Parse query text into a :class:`~repro.query.ast.Formula`."""
     return _Parser(text).parse()
+
+
+def parse_template(key: str) -> Formula:
+    """Parse the key :func:`lift_literals` made of a text into the
+    text's *template*: its formula with the ``i``-th lifted literal a
+    ``Const(Slot(i, ...))``, which the ``i``-th of the text's values
+    fills.  The key tokenizes as the text does, each literal a slot and
+    each comment a space, so the key of a text that :func:`parse_query`
+    reads parses the same way."""
+    return _Parser(key, template=True).parse()

@@ -9,7 +9,8 @@ turns such mistakes into loud :class:`QueryError` diagnostics, and
 
 from __future__ import annotations
 
-from typing import Union
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 from repro.exceptions import QueryError
 from repro.obs import span as obs_span
@@ -25,19 +26,66 @@ from repro.query.ast import (
     Not,
     Or,
     TrueFormula,
+    bind,
 )
-from repro.query.parser import parse_query
+from repro.query.parser import parse_query, parse_template
+from repro.relational.domain import Value
 from repro.relational.schema import DatabaseSchema
 
 
+@dataclass(frozen=True)
+class CheckedQuery:
+    """A formula already checked against the schema of the engine it is
+    handed to, so the engine skips the ``parse`` span and the check.
+
+    ``formula`` may be a template (see :func:`repro.query.parser.
+    parse_template`); ``values`` then fill its slots.  The service
+    broker serves through these: it checks each query shape once, in
+    its work unit.
+    """
+
+    formula: Formula
+    values: Tuple[Value, ...] = ()
+
+
+def checked(
+    query: Union[str, Formula, CheckedQuery], schema: DatabaseSchema
+) -> CheckedQuery:
+    """``query`` checked against ``schema`` once: a :class:`CheckedQuery`
+    passes as is (a template stays a template), anything else goes
+    through :func:`parse_checked`."""
+    if isinstance(query, CheckedQuery):
+        return query
+    return CheckedQuery(parse_checked(query, schema))
+
+
 def parse_checked(
-    query: Union[str, Formula], schema: DatabaseSchema
+    query: Union[str, Formula, CheckedQuery], schema: DatabaseSchema
 ) -> Formula:
     """Parse ``query`` if it is a string, then validate the formula
-    against ``schema``; both steps run inside the ``parse`` span."""
+    against ``schema``; both steps run inside the ``parse`` span.  A
+    :class:`CheckedQuery` was checked already: its formula returns as
+    is, its slots filled."""
+    if isinstance(query, CheckedQuery):
+        if query.values:
+            return bind(query.formula, query.values)
+        return query.formula
     with obs_span("parse"):
         formula = parse_query(query) if isinstance(query, str) else query
         return check_against_schema(formula, schema)
+
+
+def parse_template_checked(
+    text: str, key: str, schema: DatabaseSchema
+) -> Tuple[Formula, Formula]:
+    """``text``'s formula and its template: the text's key (see
+    :func:`repro.query.parser.lift_literals`) parsed, each literal a
+    slot.  The text is parsed and validated against ``schema`` first,
+    all inside the ``parse`` span, so a bad text raises its own error;
+    a text that parses has a key that parses the same way."""
+    with obs_span("parse"):
+        formula = check_against_schema(parse_query(text), schema)
+        return formula, parse_template(key)
 
 
 def check_against_schema(formula: Formula, schema: DatabaseSchema) -> Formula:

@@ -8,13 +8,25 @@ in-flight work — same database state, query, family, answer columns —
 is computed once and shared across the batch, and results are memoized
 in a bounded, content-keyed :class:`AnswerCache`.
 
-Each request text becomes one cached *work unit*, keyed by database,
-text, answer columns, active-priority state and schema version: the
-formula parsed and schema-checked once, the normalized answer columns,
-and the route.  A repeated text reaches the answer-cache key with no
-parse, schema check or analysis.  One route ladder (:meth:`RequestBroker.
-_target`) picks the engine from the registration, the active priority
-and the unit's :class:`~repro.analysis.RouteReport`; serving,
+Each constant-lifted request text becomes one cached *work unit*,
+keyed by database, lifted text, answer columns, active-priority state
+and schema version.  Lifting is one regex pass that replaces each
+number and quoted literal by a mark of its domain and returns the
+literals' values; name constants written as identifiers (``Mary``) stay
+in the text.  The unit holds the template formula — the lifted text
+parsed once, each literal a slot, after the text itself is checked
+against the schema — the normalized answer columns and the route, and
+each pushed engine compiles one plan per template and family, binding
+the values as SQL parameters.  A new constant in a known shape
+therefore reaches the answer-cache key with no parse, schema check,
+analysis or plan compilation; the incremental engine gets the template
+bound to the request's values.  Per-text
+observables (:meth:`~RequestBroker.analyze`, :meth:`~RequestBroker.
+explain`, flight-recorder records) are rebuilt from the template's when
+read, and equal a one-shot analysis of the text.  One route ladder
+(:meth:`RequestBroker._target`) picks the engine from the registration,
+the active priority and the unit's :class:`~repro.analysis.RouteReport`;
+serving,
 :meth:`~RequestBroker.backend_of`, :meth:`~RequestBroker.analyze` and
 the flight recorder all read it, so the predicted route is the served
 route by construction:
@@ -75,7 +87,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis import Diagnostic, RouteReport, Theory
+from repro.analysis import Diagnostic, RouteReport, Theory, restate
 from repro.analysis import analyze as analyze_routes
 from repro.backend.mirror import SqliteMirror
 from repro.backend.rewrite import RewriteDecision
@@ -87,7 +99,10 @@ from repro.exceptions import AdmissionError, QueryError
 from repro.incremental.engine import IncrementalCqaEngine
 from repro.obs import RECORDER, REGISTRY, observe_fallback
 from repro.priorities.priority import PriorityEdge
-from repro.query.ast import Formula
+from repro.query.ast import Const, Formula, bind
+from repro.query.parser import lift_literals
+from repro.query.validate import CheckedQuery, parse_template_checked
+from repro.relational.domain import Value
 from repro.relational.rows import Row
 from repro.service.rwlock import ReadWriteLock
 
@@ -313,22 +328,54 @@ class _Entry:
 
 @dataclass
 class _WorkUnit:
-    """One request text, checked and routed once.
+    """One query shape, checked and routed once.
 
-    ``formula`` is parsed and schema-checked, ``variables`` are the
-    normalized answer columns, ``active`` the priority state the unit
-    was routed under, ``target`` the engine the route ladder chose
-    (``None`` while it is being routed) and ``report`` the static route
-    analysis (computed when the ladder or a caller first needs it).
-    Only a pushed engine's probe reads the report's classification, so
-    a unit routed to ``incremental`` does not keep it.
+    ``formula`` is parsed and schema-checked: for a text, its
+    *template*, each number and quoted literal a
+    :class:`~repro.query.ast.Slot` that a request's values fill, and
+    ``pieces`` the template's text split at the slots.  ``variables``
+    are the normalized answer columns, ``active`` the priority state the
+    unit was routed under, ``target`` the engine the route ladder chose
+    (``None`` while it is being routed) and ``report`` the formula's
+    static route analysis (computed when the ladder or a caller first
+    needs it).  Only a pushed engine's probe reads the report's
+    classification, so a unit routed to ``incremental`` does not keep
+    it.  ``values`` are the literals of the text that built the unit,
+    ``own`` that text's formula, parsed by the unit's check, and
+    ``own_report`` its report once read; other texts of the shape bind
+    and rebuild theirs on each use.
     """
 
     formula: Formula
     variables: Tuple[str, ...]
     active: FrozenSet[PriorityEdge]
+    values: Tuple[Value, ...]
+    own: Formula
+    pieces: Tuple[str, ...] = ()
     target: Optional[str] = None
     report: Optional[RouteReport] = None
+    own_report: Optional[RouteReport] = None
+
+    def bound(self, values: Tuple[Value, ...]) -> Formula:
+        """The formula of the text whose literals are ``values``."""
+        return self.own if values == self.values else bind(self.formula, values)
+
+    def text(self, values: Tuple[Value, ...]) -> str:
+        """``str`` of :meth:`bound`, without building the formula."""
+        if not values:
+            return str(self.formula)
+        parts = [self.pieces[0]]
+        for value, piece in zip(values, self.pieces[1:]):
+            parts.append(str(Const(value)))
+            parts.append(piece)
+        return "".join(parts)
+
+
+def _names_a_literal(report: RouteReport) -> bool:
+    """Whether a message of a template's report shows a slot (``?``),
+    as an empty plan's reason names its constant: such a text's report
+    and decision are analyzed from the text itself."""
+    return any("?" in diagnostic.message for diagnostic in report.diagnostics)
 
 
 class RequestBroker:
@@ -350,7 +397,8 @@ class RequestBroker:
         self.cache = AnswerCache(cache_entries)
         # Parsing, schema checks and routing are data-independent
         # (modulo the active priority edges and the schema, which key
-        # them), so one work unit serves every request of the same text.
+        # them) and look at a literal's domain only, so one work unit
+        # serves every text of the same constant-lifted shape.
         self._units: BoundedCache[Tuple, _WorkUnit] = BoundedCache(
             1024, "route_report"
         )
@@ -463,36 +511,58 @@ class RequestBroker:
             entry.priority_fingerprint = entry.engine.active_priority_edges()
         return entry.priority_fingerprint
 
-    def _unit(self, entry: _Entry, request: Request) -> _WorkUnit:
-        """The cached work unit of one request text.
+    def _unit(
+        self, entry: _Entry, request: Request
+    ) -> Tuple[_WorkUnit, Tuple[Value, ...]]:
+        """The cached work unit of one request, and the values that fill
+        its template.
 
-        Keyed by ``(database, text, columns, active-priority state,
+        Keyed by ``(database, key, columns, active-priority state,
         relation count)``: a relation insert may add to the schema (a
         conflicting re-declaration raises instead), so the relation
-        count versions it.  A miss parses and schema-checks the text
-        and routes it once; a hit costs one lookup."""
+        count versions it.  A text's key is its constant-lifted form
+        (:func:`~repro.query.parser.lift_literals`): one regex pass
+        marks each number and quoted literal by its domain, so texts
+        differing only in those share the unit.  Name constants written
+        as identifiers (``Mary``) stay in the key; a formula is its own
+        key.  A miss checks the text, parses the key into the template
+        and routes its shape once; a hit costs the lex and one
+        lookup."""
         active = self._priority_fingerprint(entry)
         variables = (
             tuple(request.variables) if request.variables is not None else None
         )
+        query = request.query
+        if isinstance(query, str):
+            text_key, values = lift_literals(query)
+        else:
+            text_key, values = query, ()
         key = (
-            entry.name, request.query, variables, active,
-            len(entry.engine.schema),
+            entry.name, text_key, variables, active, len(entry.engine.schema),
         )
         unit = self._units.get(key)
         if unit is None:
-            formula = entry.engine._to_formula(request.query)
+            if isinstance(query, str):
+                own, formula = parse_template_checked(
+                    query, text_key, entry.engine.schema
+                )
+            else:
+                own = formula = entry.engine._to_formula(query)
             if variables is None:
                 variables = (
                     () if formula.is_closed
                     else tuple(sorted(formula.free_variables()))
                 )
-            unit = _WorkUnit(formula, variables, active)
+            unit = _WorkUnit(formula, variables, active, values, own)
+            if values:
+                # A slot renders as ``?``, which no other part of a
+                # template does: its quoted literals are slots too.
+                unit.pieces = tuple(str(formula).split("?"))
             unit.target = self._target(entry, active, unit)
             if unit.target == "incremental" and unit.report is not None:
                 unit.report = replace(unit.report, classification=None)
             self._units.put(key, unit)
-        return unit
+        return unit, values
 
     def _theory(
         self, entry: _Entry, active: FrozenSet[PriorityEdge]
@@ -518,7 +588,8 @@ class RequestBroker:
         return built[1]
 
     def _report(self, entry: _Entry, unit: _WorkUnit) -> RouteReport:
-        """The unit's static route analysis, computed on first read.
+        """The static route analysis of the unit's formula (for a
+        template: of its shape), computed on first read.
 
         Duplicate-row blocking is data-dependent and deliberately *not*
         predicted here — the prefsql engine's own probe stays
@@ -536,6 +607,50 @@ class RequestBroker:
                 report = replace(report, classification=None)
             unit.report = report
         return unit.report
+
+    def _text_report(
+        self,
+        entry: _Entry,
+        unit: _WorkUnit,
+        values: Tuple[Value, ...],
+        text: Optional[str] = None,
+    ) -> RouteReport:
+        """The route report of one request's text: exactly what a
+        one-shot :func:`~repro.analysis.analyze` of it returns.
+
+        Built from the template's report when read (the text,
+        fingerprint and spans change, nothing else), or from the text
+        itself when a message of the template's names a literal.  The
+        report of the text that built the unit is kept once read, so
+        rereading that text's report returns the same object.  ``text``
+        is the rendered text when the caller has it."""
+        report = self._report(entry, unit)
+        if not values:
+            return report
+        own = values == unit.values
+        if own and unit.own_report is not None:
+            return unit.own_report
+        theory = self._theory(entry, unit.active)
+        if _names_a_literal(report):
+            report = analyze_routes(
+                theory.schema,
+                theory.dependencies,
+                unit.bound(values),
+                unit.variables,
+                theory=theory,
+            )
+            if unit.target == "incremental":
+                report = replace(report, classification=None)
+        else:
+            report = restate(
+                report,
+                text if text is not None else unit.text(values),
+                theory,
+                unit.variables,
+            )
+        if own:
+            unit.own_report = report
+        return report
 
     def _target(
         self,
@@ -608,29 +723,37 @@ class RequestBroker:
             # (closed queries decide under ()) and under the request's
             # family, so one cached decision serves both; only it sees
             # data-dependent (duplicate-row) blocking.  It compiles
-            # from the report's classification.
+            # from the report's classification; for a template it is
+            # the template's decision, whose plan binds one parameter
+            # per slot.
             decision = pushed_engine.explain(
-                unit.formula, unit.variables, family=family,
+                CheckedQuery(unit.formula), unit.variables, family=family,
                 classification=self._report(entry, unit).classification,
             )
             yield pushed_engine, decision
 
     def _execute(
-        self, entry: _Entry, unit: _WorkUnit, family: Family
+        self,
+        entry: _Entry,
+        unit: _WorkUnit,
+        values: Tuple[Value, ...],
+        family: Family,
     ) -> Tuple[Outcome, str, str]:
-        """Run one work unit on the engine its route names."""
+        """Run one work unit, its slots filled by ``values``, on the
+        engine its route names; no engine parses or checks it again."""
         with entry.meta_lock:
             entry.queries += 1
-        formula, variables = unit.formula, unit.variables
-        closed = formula.is_closed and not variables
+        variables = unit.variables
+        closed = unit.formula.is_closed and not variables
         if unit.target != "incremental":
+            query = CheckedQuery(unit.formula, values)
             with self._probe(entry, unit, family) as (pushed_engine, decision):
                 if decision.pushed:
                     if closed:
-                        outcome = pushed_engine.answer(formula, family)
+                        outcome = pushed_engine.answer(query, family)
                     else:
                         outcome = pushed_engine.certain_answers(
-                            formula, variables, family
+                            query, variables, family
                         )
                     return outcome, unit.target, outcome.route or unit.target
             observe_fallback(decision.reason)
@@ -638,12 +761,13 @@ class RequestBroker:
             blocker = self._blocker(entry, unit)
             if blocker is not None:
                 observe_fallback(blocker.message)
+        query = CheckedQuery(unit.bound(values))
         with entry.compute_lock:
             if closed:
-                outcome = entry.engine.answer(formula, family, self.parallel)
+                outcome = entry.engine.answer(query, family, self.parallel)
             else:
                 outcome = entry.engine.certain_answers(
-                    formula, variables, family, self.parallel
+                    query, variables, family, self.parallel
                 )
         return outcome, "incremental", outcome.route or "indexed"
 
@@ -651,10 +775,10 @@ class RequestBroker:
         """Serve a batch: priority order, in-flight dedup, memoization.
 
         Results come back in submission order regardless of service
-        order.  Identical work units (same database state, formula,
-        answer columns and family) are computed once per batch; repeats
-        across batches hit the answer cache and report the original
-        route.
+        order.  Identical work (same database state, formula — a
+        template and its values — answer columns and family) is
+        computed once per batch; repeats across batches hit the answer
+        cache and report the original route.
 
         Each call occupies one admission slot; when the broker was
         built with ``max_inflight`` and both the in-flight limit and
@@ -688,13 +812,14 @@ class RequestBroker:
             entry = self._entry(request.database)
             started = time.perf_counter()
             with entry.rw.read():
-                unit = self._unit(entry, request)
+                unit, values = self._unit(entry, request)
                 family = request.family or entry.family
                 key = (
                     entry.name,
                     self._fingerprint(entry),
                     unit.active,
                     unit.formula,
+                    values,
                     unit.variables,
                     family,
                 )
@@ -726,14 +851,17 @@ class RequestBroker:
                 # trace to collect.  The report provider hands the
                 # record the analysis layer's fingerprint and blocking
                 # diagnostics lazily (dropped records never pay for it).
+                text = unit.text(values)
                 capture = RECORDER.capture(
-                    str(unit.formula),
+                    text,
                     database=entry.name,
-                    report_provider=lambda: self._report(entry, unit),
+                    report_provider=lambda: self._text_report(
+                        entry, unit, values, text
+                    ),
                 )
                 with capture:
                     outcome, engine_label, route = self._execute(
-                        entry, unit, family
+                        entry, unit, values, family
                     )
                     capture.note(
                         engine=engine_label, route=route, family=str(family)
@@ -768,14 +896,17 @@ class RequestBroker:
     ) -> RouteReport:
         """Static route analysis of one query — nothing executes.
 
-        Returns the report of the same cached work unit the broker
-        routes by when serving, so the diagnostics seen here are exactly
-        the routing the next ``submit`` of the same query will follow.
+        Returns the report of the text, built from the same cached work
+        unit the broker routes by when serving, so the diagnostics seen
+        here are exactly the routing the next ``submit`` of the same
+        query will follow.
         """
         entry = self._entry(database)
         with entry.rw.read():
-            unit = self._unit(entry, Request(query, family, variables, database))
-            return self._report(entry, unit)
+            unit, values = self._unit(
+                entry, Request(query, family, variables, database)
+            )
+            return self._text_report(entry, unit, values)
 
     def explain(
         self,
@@ -794,18 +925,27 @@ class RequestBroker:
         edges with prefsql off).
         """
         entry = self._entry(database)
+        family = family or entry.family
         with entry.rw.read():
-            unit = self._unit(entry, Request(query, family, variables, database))
+            unit, values = self._unit(
+                entry, Request(query, family, variables, database)
+            )
             if unit.target == "incremental":
                 blocker = self._blocker(entry, unit)
                 if blocker is None:
                     return None
+                report = self._text_report(entry, unit, values)
                 return RewriteDecision(
-                    None, blocker.message,
-                    diagnostics=self._report(entry, unit).diagnostics,
+                    None, blocker.message, diagnostics=report.diagnostics
                 )
-            with self._probe(entry, unit, family or entry.family) as (_, decision):
-                return decision
+            with self._probe(entry, unit, family) as (pushed_engine, decision):
+                if values and _names_a_literal(self._report(entry, unit)):
+                    return pushed_engine.explain(
+                        CheckedQuery(unit.bound(values)),
+                        unit.variables,
+                        family=family,
+                    )
+                return decision.bind(values)
 
     # Diagnostics --------------------------------------------------------------
 

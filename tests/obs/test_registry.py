@@ -51,6 +51,30 @@ class TestCountersAndGauges:
         with pytest.raises(ValueError):
             family.labels(engine="x")
 
+    def test_a_repeated_label_set_hits_its_child(self, registry):
+        family = registry.counter("c_total", "", labels=("cache", "event"))
+        child = family.labels(cache="answer", event="hit")
+        # Keyword order does not matter; values key by their str.
+        assert family.labels(event="hit", cache="answer") is child
+        assert family.labels(cache="answer", event="miss") is not child
+        assert len(family.children()) == 2
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"cache": "answer"},
+            {"cache": "answer", "event": "hit", "route": "sqlite"},
+            {"cache": "answer", "kind": "hit"},
+        ],
+        ids=["missing", "extra", "misnamed"],
+    )
+    def test_a_wrong_label_set_raises_even_after_a_hit(self, registry, labels):
+        family = registry.counter("c_total", "", labels=("cache", "event"))
+        family.labels(cache="answer", event="hit")
+        with pytest.raises(ValueError, match="expects labels"):
+            family.labels(**labels)
+        assert len(family.children()) == 1
+
     def test_kind_mismatch_raises(self, registry):
         registry.counter("thing", "")
         with pytest.raises(ValueError):

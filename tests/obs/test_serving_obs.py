@@ -429,6 +429,34 @@ class TestCliProfile:
         with pytest.raises(SystemExit, match="--slow-ms"):
             main(base + ["--slow-ms", "-3"])
 
+    def test_profile_shows_one_parse_span_per_query(self, mgr_csv, capsys):
+        # The broker checks the text once, in its work unit; the pushed
+        # engine's probe and execution take the checked template.
+        code = main(
+            [
+                "query",
+                "--csv", str(mgr_csv),
+                "--relation", "Mgr",
+                "--fd", "Name -> Dept, Salary",
+                "--backend", "prefsql",
+                "--prefer-new", "Salary",
+                "--family", "G",
+                "--query", "EXISTS d, s . Mgr(Mary, d, s) AND s > 15",
+                "--profile",
+                "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+
+        def count(node, name):
+            return (node["name"] == name) + sum(
+                count(child, name) for child in node.get("children", ())
+            )
+
+        assert payload["backend"] == "prefsql (pushed down)"
+        assert count(payload["trace"], "parse") == 1
+
     def test_profile_prefsql_backend_shows_route(self, mgr_csv, capsys):
         code = main(
             [
