@@ -7,8 +7,13 @@ pushdown enabled it
 also keeps this mirror: an (in-memory by default) SQLite database that
 is re-saved from the engine's current state the first time a query
 arrives after an update, so rewritable queries run pushed down while
-updates stay incremental.  Refreshes are O(instance), queries are
-index-backed; a burst of updates between two queries costs one refresh.
+updates stay incremental.  Refreshes are O(instance) and rebuild the
+dependencies' covering indexes (see :func:`~repro.relational.sqlite_io.
+ensure_fd_indexes`); a burst of updates between two queries costs one
+refresh.  A pushed plan's outer selection searches those indexes when
+it binds a dependency's left-hand side (a key lookup or key join) or
+constrains a dependent attribute (an equality or range on it); a
+selection on an attribute no dependency names scans the relation.
 
 The mirror also hosts the preference-aware pushdown
 (:mod:`repro.prefsql`): :meth:`pref_engine_for` hands out a

@@ -264,12 +264,18 @@ def survivor_condition(alias: str, table: str) -> str:
     scopes, turning the preference-blind certification into a
     preference-aware one.
 
-    It relies on the table being keyed (``row_id INTEGER PRIMARY
-    KEY``): SQLite then plans the ``IN`` as a rowid search of the
-    survivor table (``USING ROWID SEARCH ... FOR IN-OPERATOR``) rather
-    than a scan of it per statement.
+    The restriction is a keyed probe: a correlated ``EXISTS`` that
+    looks ``alias.rowid`` up by the survivor table's ``row_id INTEGER
+    PRIMARY KEY``.  The alias's own best index (a key lookup, a join
+    key or a dependent-attribute range) then drives the plan, and each
+    candidate row costs one rowid search of the survivor table.  An
+    ``alias.rowid IN (SELECT row_id FROM ...)`` would instead let
+    SQLite loop over the whole survivor table and look each row up.
     """
-    return f"{alias}.rowid IN (SELECT row_id FROM {quote_identifier(table)})"
+    return (
+        f"EXISTS (SELECT 1 FROM {quote_identifier(table)} {alias}_s "
+        f"WHERE {alias}_s.row_id = {alias}.rowid)"
+    )
 
 
 def _render_body(

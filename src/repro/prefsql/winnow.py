@@ -41,9 +41,13 @@ committed and survivor tables) is keyed: ``row_id INTEGER PRIMARY KEY``
 makes the row id the table's rowid.  Every probe searches by that key:
 row → edge-by-loser (or conflict-by-endpoint) index → keyed lookup of
 the edge's other endpoint in the pool table.  Each winnow stage is
-thereby linear in the edges it touches, and a served survivor
-restriction (:func:`~repro.backend.rewrite.survivor_condition`) is a
-rowid search instead of a table scan.
+thereby linear in the edges it touches.  A served survivor restriction
+(:func:`~repro.backend.rewrite.survivor_condition`) is the same keyed
+probe, an ``EXISTS`` that searches the survivor table by the candidate
+row's rowid: the query's own index on the relation picks the
+candidates, and the survivor table is never the outer loop.  Only the
+build-time :func:`has_unresolved_group`, which reads every survivor,
+lets the survivor table drive its join.
 """
 
 from __future__ import annotations
@@ -52,11 +56,7 @@ import sqlite3
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.backend.rewrite import (
-    DirtyProfile,
-    conjoin as _conjoin,
-    survivor_condition,
-)
+from repro.backend.rewrite import DirtyProfile, conjoin as _conjoin
 from repro.core.families import Family
 from repro.exceptions import QueryError
 from repro.prefsql.edges import SIDE_CONFLICTS, SIDE_EDGES, text_literal
@@ -360,10 +360,14 @@ def has_unresolved_group(
         f"r.{quote_identifier(attr)}"
         for attr in profile.group + profile.classifier
     )
+    # A bulk read of every survivor: the survivor table drives the
+    # join (CROSS JOIN fixes SQLite's loop order) and each row is one
+    # rowid search of the relation, unlike a served restriction
+    # (survivor_condition), which probes the survivor table per row.
     classes = (
         f"SELECT DISTINCT {columns} FROM "
-        f"{quote_identifier(profile.relation)} r "
-        f"WHERE {survivor_condition('r', survivor_table)}"
+        f"{quote_identifier(survivor_table)} s CROSS JOIN "
+        f"{quote_identifier(profile.relation)} r ON r.rowid = s.row_id"
     )
     if profile.group:
         group_columns = ", ".join(

@@ -11,8 +11,10 @@ that were dropped from the :class:`Database` since the last save have
 their tables and schema records removed, so a later
 :func:`load_database` never chases a stale entry.  Passing the
 functional-dependency set to the save functions additionally creates
-covering indexes on each dependency's attributes — the access paths the
-SQL certain-answer backend (:mod:`repro.backend`) relies on.
+covering indexes on each dependency's attributes, in two orders
+(``LHS…, RHS…`` and, per dependent attribute ``A``, ``A, LHS…``) — the
+access paths the SQL certain-answer backend (:mod:`repro.backend`)
+relies on.
 
 Connections are always used through context managers and queries are
 parameterized — never string-interpolated — per standard database-code
@@ -87,8 +89,10 @@ def save_instance(
     """Store ``instance`` into a SQLite database file or open connection.
 
     Any existing table of the same name is replaced.  When
-    ``dependencies`` are given, covering indexes are created for each
-    dependency applying to this relation (see :func:`ensure_fd_indexes`).
+    ``dependencies`` are given, each dependency applying to this
+    relation gets its covering indexes: ``(LHS…, RHS…)`` and one
+    ``(A, LHS…)`` per dependent attribute ``A`` (see
+    :func:`ensure_fd_indexes`).
     """
     own = not isinstance(target, sqlite3.Connection)
     connection = sqlite3.connect(target) if own else target
@@ -306,12 +310,17 @@ def ensure_fd_indexes(
     schema: DatabaseSchema,
     dependencies: Sequence[FunctionalDependency],
 ) -> List[str]:
-    """Create one covering index per functional dependency and relation.
+    """Create the covering indexes of each functional dependency.
 
-    Each index spans the dependency's left-hand side followed by its
-    effective right-hand side, so both the group lookup (``LHS``) and
-    the class lookup (``LHS`` + ``RHS``) of the certain-answer rewriting
-    are index-only scans.  Returns the index names that now exist.
+    Per dependency and relation it applies to, one index spans the
+    left-hand side followed by the effective right-hand side
+    (``LHS…, RHS…``), so both the group lookup (``LHS``) and the class
+    lookup (``LHS`` + ``RHS``) of the certain-answer rewriting are
+    index-only scans.  Beside it, one index per dependent attribute
+    ``A`` (``RHS − LHS``) spans ``(A, LHS…)``: a selection on ``A``
+    becomes an index range that carries the key the rewriting's group
+    lookups correlate on.  Attributes no dependency names stay
+    unindexed.  Returns the index names that now exist.
     """
     own = not isinstance(target, sqlite3.Connection)
     connection = sqlite3.connect(target) if own else target
@@ -329,20 +338,23 @@ def ensure_fd_indexes(
                         for attr in dependency.lhs | dependency.rhs
                     ):
                         continue
-                    columns = sorted(dependency.lhs) + sorted(
-                        dependency.rhs - dependency.lhs
-                    )
-                    index_name = "_repro_idx_{}_{}".format(
-                        relation.name, "_".join(columns)
-                    )
-                    column_list = ", ".join(
-                        _quote_ident(column) for column in columns
-                    )
-                    connection.execute(
-                        f"CREATE INDEX IF NOT EXISTS {_quote_ident(index_name)} "
-                        f"ON {_quote_ident(relation.name)} ({column_list})"
-                    )
-                    created.append(index_name)
+                    lhs = sorted(dependency.lhs)
+                    dependent = sorted(dependency.rhs - dependency.lhs)
+                    orders = [lhs + dependent]
+                    orders.extend([attr] + lhs for attr in dependent)
+                    for columns in orders:
+                        index_name = "_repro_idx_{}_{}".format(
+                            relation.name, "_".join(columns)
+                        )
+                        column_list = ", ".join(
+                            _quote_ident(column) for column in columns
+                        )
+                        connection.execute(
+                            "CREATE INDEX IF NOT EXISTS "
+                            f"{_quote_ident(index_name)} "
+                            f"ON {_quote_ident(relation.name)} ({column_list})"
+                        )
+                        created.append(index_name)
         return created
     finally:
         if own:

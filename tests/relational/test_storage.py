@@ -244,6 +244,36 @@ class TestFdIndexes:
         assert first == second
         assert "_repro_idx_Mgr_Name_Dept_Salary" in self._index_names(path)
 
+    def test_dependent_side_indexes(self, tmp_path):
+        # One (A, LHS...) index per dependent attribute A, beside the
+        # (LHS..., RHS...) index; idempotent like it, and none at all
+        # for a dependency naming an attribute the relation lacks.
+        path = tmp_path / "db.sqlite"
+        save_instance(sample_instance(), path)
+        schema = load_schema(path)
+        missing = [FunctionalDependency.parse("Name -> Budget", "Mgr")]
+        first = ensure_fd_indexes(path, schema, self.FDS + missing)
+        second = ensure_fd_indexes(path, schema, self.FDS + missing)
+        expected = [
+            "_repro_idx_Mgr_Name_Dept_Salary",
+            "_repro_idx_Mgr_Dept_Name",
+            "_repro_idx_Mgr_Salary_Name",
+        ]
+        assert first == second == expected
+        assert {
+            name
+            for name in self._index_names(path)
+            if name.startswith("_repro_idx_")
+        } == set(expected)
+        with sqlite3.connect(path) as connection:
+            columns = [
+                record[2]
+                for record in connection.execute(
+                    "SELECT * FROM pragma_index_info('_repro_idx_Mgr_Salary_Name')"
+                )
+            ]
+        assert columns == ["Salary", "Name"]
+
     def test_indexes_skip_inapplicable_dependencies(self, tmp_path):
         path = tmp_path / "db.sqlite"
         other = [FunctionalDependency.parse("Dept -> Budget", "Dept")]
