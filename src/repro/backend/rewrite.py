@@ -26,21 +26,23 @@ certain iff some witness assignment exists whose dirty row's ``K``-group
 *certifies* it — every ``Y``-class of the group contains a row that
 extends to a full witness producing the same answer tuple.  That is one
 ``SELECT`` with a doubly nested ``NOT EXISTS`` self-join, evaluated
-entirely inside SQLite:
+entirely inside SQLite.  It is the one-tree case of the C_forest
+certification below: the dirty atom is the only root, and its region
+holds it first and then every other atom in body order:
 
 .. code-block:: sql
 
     SELECT DISTINCT <answers t>
     FROM R t0, S t1, ...
     WHERE <body over t*>
-      AND NOT EXISTS (            -- no class of t's group ...
-        SELECT 1 FROM R g
-        WHERE g.K = t0.K
+      AND NOT EXISTS (            -- no class of t0's group ...
+        SELECT 1 FROM R g0
+        WHERE g0.K = t0.K
           AND NOT EXISTS (        -- ... fails to witness the answer
-            SELECT 1 FROM R w0, S w1, ...
-            WHERE <body over w*>
-              AND w0.K = t0.K AND w0.Y = g.Y
-              AND <answers w> = <answers t>))
+            SELECT 1 FROM R w0_0, S w0_1, ...
+            WHERE <body over w0_*>
+              AND w0_0.K = t0.K AND w0_0.Y = g0.Y
+              AND <answers w0_*> = <answers t>))
 
 *Possible* answers of such a query are simply its answers over the full
 (unrepaired) instance: conjunctive queries are monotone and any single
@@ -85,9 +87,9 @@ this module keeps the SQL emission and attaches the classifier's
 :class:`~repro.analysis.model.Diagnostic` records to every
 :class:`RewriteDecision`.  Queries outside the fragment are reported
 with the first blocking diagnostic's message as the fallback reason
-(bit-identical to the historical fail-fast strings);
-:class:`~repro.backend.engine.SqlCqaEngine` routes those to the
-in-memory engine.
+(bit-identical to the historical fail-fast strings).  The pushed
+engines decline those with a ``QueryError``, and the service broker
+serves them from its incremental engine.
 """
 
 from __future__ import annotations
@@ -104,9 +106,11 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.cforest import CForest
+from repro.analysis.model import Diagnostic, fallback_route
+
 # Conflict profiles moved to repro.analysis.profiles; re-exported here
 # because the public import path predates the analysis subsystem.
-from repro.analysis.model import Diagnostic, fallback_route
 from repro.analysis.profiles import (  # noqa: F401  (re-exports)
     DirtyProfile,
     NotRewritable,
@@ -344,16 +348,20 @@ def compile_plan(
     ``classification`` must be unblocked (see
     :attr:`Classification.blocking`) — the shape, typing and theory
     analysis all happened in :func:`repro.analysis.shapes.classify`;
-    this function is pure emission.
+    this function is pure emission.  The outer scope (witness rows,
+    answer columns, possible answers) is rendered here for every plan;
+    the certification of its dirty atoms comes from
+    :func:`_certifications`, which a single dirty atom reaches as a
+    one-tree forest.
 
     ``survivors`` (preference-aware mode) maps a dirty relation to the
     side table of rows whose conflict class is preferred under the
     active family — the dirty alias scopes and the class certification
-    then range over preferred classes only.  Relations listed in
-    ``resolved`` have exactly one surviving class per conflict group,
-    so the preferred repair restricted to them is unique and the plan
-    collapses to a plain (``kind="clean"``) evaluation over the
-    survivor rows.
+    then range over preferred classes only.  When the one dirty atom's
+    relation is listed in ``resolved``, each conflict group has exactly
+    one surviving class, so the preferred repair restricted to it is
+    unique and the plan collapses to a plain (``kind="clean"``)
+    evaluation over the survivor rows.
     """
     blocking = classification.blocking
     if blocking:  # defensive: callers gate on classification.blocking
@@ -365,179 +373,9 @@ def compile_plan(
             shape.answer_variables, classification.empty_reason
         )
 
-    if classification.forest is not None:
-        # Several dirty atoms in a certified key-join forest: the
-        # recursive multi-dirty emission (single-dirty plans keep the
-        # historical shape below, bit for bit).
-        return _compile_forest(classification, schema, survivors)
-
     atoms = shape.atoms
     answer_variables = shape.answer_variables
-    kept_comparisons = classification.kept_comparisons
-    profiles = classification.profiles
     dirty_indexes = classification.dirty_indexes
-
-    outer = [f"t{index}" for index in range(len(atoms))]
-    outer_conditions, outer_params, outer_columns = _render_body(
-        atoms, schema, outer, kept_comparisons
-    )
-    survivor_table = None
-    if dirty_indexes and survivors:
-        survivor_table = survivors.get(atoms[dirty_indexes[0]].relation)
-        if survivor_table is not None:
-            # Possible answers and the outer certification witness both
-            # range over preferred rows only: a witness row outside every
-            # preferred class appears in no preferred repair.
-            outer_conditions.append(
-                survivor_condition(outer[dirty_indexes[0]], survivor_table)
-            )
-    from_outer = ", ".join(
-        f"{quote_identifier(atom.relation)} AS {alias}"
-        for atom, alias in zip(atoms, outer)
-    )
-    if answer_variables:
-        select_list = ", ".join(
-            "{} AS {}".format(outer_columns[name], quote_identifier(f"a{pos}"))
-            for pos, name in enumerate(answer_variables)
-        )
-        possible_sql = (
-            f"SELECT DISTINCT {select_list} FROM {from_outer} "
-            f"WHERE {_conjoin(outer_conditions)}"
-        )
-    else:
-        possible_sql = (
-            f"SELECT 1 FROM {from_outer} "
-            f"WHERE {_conjoin(outer_conditions)} LIMIT 1"
-        )
-
-    if not dirty_indexes:
-        return RewritePlan(
-            kind="clean",
-            answer_variables=answer_variables,
-            certain_sql=possible_sql,
-            certain_params=tuple(outer_params),
-            possible_sql=possible_sql,
-            possible_params=tuple(outer_params),
-            description="all mentioned relations are consistent; certain = "
-            "possible = plain evaluation",
-        )
-
-    dirty = dirty_indexes[0]
-    profile = profiles[atoms[dirty].relation]
-    if survivor_table is not None and profile.relation in resolved:
-        # One surviving class per group: the preferred repair projected
-        # onto this relation is unique, so certain = possible = plain
-        # evaluation over the survivor rows (the "clean" run path).
-        return RewritePlan(
-            kind="clean",
-            answer_variables=answer_variables,
-            certain_sql=possible_sql,
-            certain_params=tuple(outer_params),
-            possible_sql=possible_sql,
-            possible_params=tuple(outer_params),
-            description=(
-                f"priority resolves {profile.relation!r} to a single "
-                "preferred class per group; certain = possible = plain "
-                f"evaluation over survivor table {survivor_table!r}"
-            ),
-        )
-    inner = [f"w{index}" for index in range(len(atoms))]
-    inner_conditions, inner_params, inner_columns = _render_body(
-        atoms, schema, inner, kept_comparisons
-    )
-    from_inner = ", ".join(
-        f"{quote_identifier(atom.relation)} AS {alias}"
-        for atom, alias in zip(atoms, inner)
-    )
-    same_group_alt = [
-        f"g.{quote_identifier(attr)} = {outer[dirty]}.{quote_identifier(attr)}"
-        for attr in profile.group
-    ]
-    if survivor_table is not None:
-        # Certification quantifies over *preferred* classes only: an
-        # answer is certain as soon as every surviving class of the
-        # witness group extends to a witness.
-        same_group_alt.append(survivor_condition("g", survivor_table))
-    witness_in_group = [
-        f"{inner[dirty]}.{quote_identifier(attr)} = "
-        f"{outer[dirty]}.{quote_identifier(attr)}"
-        for attr in profile.group
-    ]
-    witness_in_class = [
-        f"{inner[dirty]}.{quote_identifier(attr)} = g.{quote_identifier(attr)}"
-        for attr in profile.classifier
-    ]
-    same_answer = [
-        f"{inner_columns[name]} = {outer_columns[name]}"
-        for name in answer_variables
-    ]
-    witness_sql = (
-        f"SELECT 1 FROM {from_inner} WHERE "
-        + _conjoin(
-            inner_conditions + witness_in_group + witness_in_class + same_answer
-        )
-    )
-    uncertified_class_sql = (
-        f"SELECT 1 FROM {quote_identifier(profile.relation)} AS g "
-        f"WHERE {_conjoin(same_group_alt)} AND NOT EXISTS ({witness_sql})"
-    )
-    certified = (
-        f"{_conjoin(outer_conditions)} AND NOT EXISTS ({uncertified_class_sql})"
-    )
-    if answer_variables:
-        certain_sql = (
-            f"SELECT DISTINCT {select_list} FROM {from_outer} WHERE {certified}"
-        )
-    else:
-        certain_sql = f"SELECT 1 FROM {from_outer} WHERE {certified} LIMIT 1"
-    return RewritePlan(
-        kind="dirty",
-        answer_variables=answer_variables,
-        certain_sql=certain_sql,
-        certain_params=tuple(outer_params) + tuple(inner_params),
-        possible_sql=possible_sql,
-        possible_params=tuple(outer_params),
-        description=(
-            f"one inconsistent atom over {profile.relation!r} "
-            f"(groups on {list(profile.group)}, classes on "
-            f"{list(profile.classifier)}); certain answers via doubly "
-            "nested NOT EXISTS self-join"
-            + (
-                f" over preferred classes (survivor table {survivor_table!r})"
-                if survivor_table is not None
-                else ""
-            )
-        ),
-    )
-
-
-def _compile_forest(
-    classification: Classification,
-    schema: DatabaseSchema,
-    survivors: Optional[Dict[str, str]] = None,
-) -> RewritePlan:
-    """Emit SQL for a C_forest classification (several dirty atoms).
-
-    One certification per dirty atom, nested along the oriented trees of
-    ``classification.forest``: a dirty atom quantifies together with the
-    clean atoms of its region, and each dirty child is certified inside
-    the parent's witness scope, correlated only through the child's full
-    key (read from the attach atom's witness row).  Root certifications
-    key on the outer witness directly, exactly like the single-dirty
-    plan.
-
-    With ``survivors``, every dirty alias scope — outer witnesses and
-    each certification's class enumeration — ranges over preferred rows
-    only; relations whose priority resolves them to one class per group
-    simply certify trivially (no special casing, unlike the single-dirty
-    collapse).
-    """
-    shape = classification.shape
-    forest = classification.forest
-    assert shape is not None and forest is not None
-    atoms = shape.atoms
-    answer_variables = shape.answer_variables
-    profiles = classification.profiles
     survivor_map = survivors or {}
 
     outer = [f"t{index}" for index in range(len(atoms))]
@@ -545,31 +383,144 @@ def _compile_forest(
         atoms, schema, outer, classification.kept_comparisons
     )
     used_survivors = []
-    for index in classification.dirty_indexes:
+    for index in dirty_indexes:
         table = survivor_map.get(atoms[index].relation)
         if table is not None:
+            # Possible answers and the outer certification witness both
+            # range over preferred rows only: a witness row outside every
+            # preferred class appears in no preferred repair.
             outer_conditions.append(survivor_condition(outer[index], table))
             used_survivors.append(table)
     from_outer = ", ".join(
         f"{quote_identifier(atom.relation)} AS {alias}"
         for atom, alias in zip(atoms, outer)
     )
-    if answer_variables:
-        select_list = ", ".join(
-            "{} AS {}".format(outer_columns[name], quote_identifier(f"a{pos}"))
-            for pos, name in enumerate(answer_variables)
-        )
-        possible_sql = (
-            f"SELECT DISTINCT {select_list} FROM {from_outer} "
-            f"WHERE {_conjoin(outer_conditions)}"
-        )
-    else:
-        possible_sql = (
-            f"SELECT 1 FROM {from_outer} "
-            f"WHERE {_conjoin(outer_conditions)} LIMIT 1"
+    select_list = ", ".join(
+        "{} AS {}".format(outer_columns[name], quote_identifier(f"a{pos}"))
+        for pos, name in enumerate(answer_variables)
+    )
+
+    def select(conditions: Sequence[str]) -> str:
+        where = _conjoin(conditions)
+        if answer_variables:
+            return (
+                f"SELECT DISTINCT {select_list} FROM {from_outer} "
+                f"WHERE {where}"
+            )
+        return f"SELECT 1 FROM {from_outer} WHERE {where} LIMIT 1"
+
+    possible_sql = select(outer_conditions)
+
+    def plain(description: str) -> RewritePlan:
+        return RewritePlan(
+            kind="clean",
+            answer_variables=answer_variables,
+            certain_sql=possible_sql,
+            certain_params=tuple(outer_params),
+            possible_sql=possible_sql,
+            possible_params=tuple(outer_params),
+            description=description,
         )
 
-    params: List[Value] = list(outer_params)
+    if not dirty_indexes:
+        return plain(
+            "all mentioned relations are consistent; certain = "
+            "possible = plain evaluation"
+        )
+
+    forest = classification.forest
+    if forest is None:
+        dirty = dirty_indexes[0]
+        profile = classification.profiles[atoms[dirty].relation]
+        if used_survivors and profile.relation in resolved:
+            # One surviving class per group: the preferred repair projected
+            # onto this relation is unique, so certain = possible = plain
+            # evaluation over the survivor rows (the "clean" run path).
+            return plain(
+                f"priority resolves {profile.relation!r} to a single "
+                "preferred class per group; certain = possible = plain "
+                f"evaluation over survivor table {used_survivors[0]!r}"
+            )
+        forest = CForest(
+            roots=(dirty,),
+            regions={
+                dirty: (dirty,)
+                + tuple(i for i in range(len(atoms)) if i != dirty)
+            },
+            children={},
+            region_comparisons={dirty: classification.kept_comparisons},
+            keyed=(),
+            explanation=f"one dirty atom over {profile.relation!r}",
+        )
+        kind = "dirty"
+        description = (
+            f"one inconsistent atom over {profile.relation!r} "
+            f"(groups on {list(profile.group)}, classes on "
+            f"{list(profile.classifier)}); certain answers via doubly "
+            "nested NOT EXISTS self-join"
+        )
+        if used_survivors:
+            description += (
+                " over preferred classes (survivor table "
+                f"{used_survivors[0]!r})"
+            )
+    else:
+        involved = [atoms[index].relation for index in dirty_indexes]
+        kind = "forest"
+        description = (
+            f"{len(involved)} inconsistent atoms over {involved} in a "
+            f"C_forest key-join forest ({len(forest.roots)} tree(s)); "
+            "certain answers via recursive NOT EXISTS certification "
+            "per dirty atom"
+        )
+        if used_survivors:
+            description += (
+                " over preferred classes (survivor tables "
+                f"{sorted(set(used_survivors))})"
+            )
+    certifications, params = _certifications(
+        forest, classification, schema, survivor_map, outer, outer_columns
+    )
+    return RewritePlan(
+        kind=kind,
+        answer_variables=answer_variables,
+        certain_sql=select(outer_conditions + certifications),
+        certain_params=tuple(outer_params) + tuple(params),
+        possible_sql=possible_sql,
+        possible_params=tuple(outer_params),
+        description=description,
+    )
+
+
+def _certifications(
+    forest: CForest,
+    classification: Classification,
+    schema: DatabaseSchema,
+    survivor_map: Dict[str, str],
+    outer: Sequence[str],
+    outer_columns: Dict[str, str],
+) -> Tuple[List[str], List[Value]]:
+    """The ``NOT EXISTS`` certifications of a C_forest, one per root,
+    with their parameters in placeholder order.
+
+    One certification per dirty atom, nested along the oriented trees of
+    ``forest``: a dirty atom quantifies together with the clean atoms of
+    its region, and each dirty child is certified inside the parent's
+    witness scope, correlated only through the child's full key (read
+    from the attach atom's witness row).  Root certifications key on the
+    outer witness ``outer[root]`` directly.
+
+    With a survivor table in ``survivor_map``, each certification's
+    class enumeration ranges over preferred rows only; relations whose
+    priority resolves them to one class per group simply certify
+    trivially.
+    """
+    shape = classification.shape
+    assert shape is not None
+    atoms = shape.atoms
+    answer_variables = shape.answer_variables
+    profiles = classification.profiles
+    params: List[Value] = []
     cert_counter = [0]
 
     def emit_cert(
@@ -627,20 +578,6 @@ def _compile_forest(
             [atoms[index] for index in region], schema, region_aliases, ()
         )
         params.extend(region_params)
-        witness = region_aliases[0]  # the dirty atom leads its region
-        for attribute, (expr, expr_params) in zip(profile.group, key_exprs):
-            conditions.append(
-                f"{witness}.{quote_identifier(attribute)} = {expr}"
-            )
-            params.extend(expr_params)
-        for attribute in profile.classifier:
-            conditions.append(
-                f"{witness}.{quote_identifier(attribute)} = "
-                f"{g_alias}.{quote_identifier(attribute)}"
-            )
-        for name in answer_variables:
-            if name in canonical:
-                conditions.append(f"{canonical[name]} = {outer_columns[name]}")
         scope = dict(canonical)
         for name in answer_variables:
             # Answer values are pinned, so reading them from the outer
@@ -657,6 +594,20 @@ def _compile_forest(
             conditions.append(
                 f"{operands[0]} {_SQL_OPS[comparison.op]} {operands[1]}"
             )
+        witness = region_aliases[0]  # the dirty atom leads its region
+        for attribute, (expr, expr_params) in zip(profile.group, key_exprs):
+            conditions.append(
+                f"{witness}.{quote_identifier(attribute)} = {expr}"
+            )
+            params.extend(expr_params)
+        for attribute in profile.classifier:
+            conditions.append(
+                f"{witness}.{quote_identifier(attribute)} = "
+                f"{g_alias}.{quote_identifier(attribute)}"
+            )
+        for name in answer_variables:
+            if name in canonical:
+                conditions.append(f"{canonical[name]} = {outer_columns[name]}")
         for child, attach in forest.children.get(dirty, ()):
             child_profile = profiles[atoms[child].relation]
             relation = schema.relation(atoms[child].relation)
@@ -689,47 +640,18 @@ def _compile_forest(
             return f"({exists_sql} AND {certification})"
         return certification
 
-    certifications = []
-    for root in forest.roots:
-        profile = profiles[atoms[root].relation]
-        certifications.append(
-            emit_cert(
-                root,
-                [
-                    (f"{outer[root]}.{quote_identifier(attribute)}", ())
-                    for attribute in profile.group
-                ],
-                is_root=True,
-            )
+    certifications = [
+        emit_cert(
+            root,
+            [
+                (f"{outer[root]}.{quote_identifier(attribute)}", ())
+                for attribute in profiles[atoms[root].relation].group
+            ],
+            is_root=True,
         )
-    certified = _conjoin(outer_conditions + certifications)
-    if answer_variables:
-        certain_sql = (
-            f"SELECT DISTINCT {select_list} FROM {from_outer} WHERE {certified}"
-        )
-    else:
-        certain_sql = f"SELECT 1 FROM {from_outer} WHERE {certified} LIMIT 1"
-    involved = [atoms[index].relation for index in classification.dirty_indexes]
-    return RewritePlan(
-        kind="forest",
-        answer_variables=answer_variables,
-        certain_sql=certain_sql,
-        certain_params=tuple(params),
-        possible_sql=possible_sql,
-        possible_params=tuple(outer_params),
-        description=(
-            f"{len(involved)} inconsistent atoms over {involved} in a "
-            f"C_forest key-join forest ({len(forest.roots)} tree(s)); "
-            "certain answers via recursive NOT EXISTS certification "
-            "per dirty atom"
-            + (
-                " over preferred classes (survivor tables "
-                f"{sorted(set(used_survivors))})"
-                if used_survivors
-                else ""
-            )
-        ),
-    )
+        for root in forest.roots
+    ]
+    return certifications, params
 
 
 def analyze_query(

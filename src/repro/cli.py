@@ -682,12 +682,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     instance, dependencies, _, priority = _build_setting(args)
     family = _FAMILY_CODES[args.family]
-    backend = getattr(args, "backend", "auto")
-    if args.no_pushdown and backend in ("sqlite", "prefsql"):
-        raise SystemExit(
-            f"--no-pushdown disables the mirror that --backend {backend} "
-            "requires; drop one of the two flags"
-        )
     if args.trace_sample is not None:
         if not 0.0 <= args.trace_sample <= 1.0:
             raise SystemExit("--trace-sample must be in [0, 1]")
@@ -709,8 +703,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         dependencies,
         priority.edges,
         family,
-        sqlite_pushdown=not args.no_pushdown and backend != "memory",
-        prefsql_pushdown=backend in ("auto", "prefsql"),
+        sqlite_pushdown=args.backend != "memory",
+        prefsql_pushdown=args.backend == "prefsql",
     )
     access_stream = None
     owns_stream = False
@@ -1276,18 +1270,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard repair enumeration across N workers (0 = all cores)",
     )
     serve.add_argument(
-        "--no-pushdown",
-        action="store_true",
-        help="disable the SQLite mirror (always answer in memory)",
-    )
-    serve.add_argument(
         "--backend",
-        choices=["auto", "memory", "sqlite", "prefsql"],
-        default="auto",
+        choices=["memory", "sqlite", "prefsql"],
+        default="prefsql",
         help=(
-            "pushdown policy: auto/prefsql = preference-aware SQL for "
+            "pushdown policy: prefsql = preference-aware SQL for "
             "prioritized requests, sqlite = preference-blind mirror only "
-            "(prioritized requests stream in memory), memory = no mirror"
+            "(prioritized requests stream in memory), memory = no mirror "
+            "(always answer in memory)"
         ),
     )
     serve.add_argument(

@@ -320,13 +320,31 @@ def ensure_fd_indexes(
     ``A`` (``RHS − LHS``) spans ``(A, LHS…)``: a selection on ``A``
     becomes an index range that carries the key the rewriting's group
     lookups correlate on.  Attributes no dependency names stay
-    unindexed.  Returns the index names that now exist.
+    unindexed.  An index is named ``_repro_idx_<relation>_<columns>``
+    with the columns joined by ``_``; when that name already belongs to
+    another column list (``A``, ``B_C`` and ``A_B``, ``C`` join alike),
+    the first free ``<name>_<n>`` is taken instead.  Returns the index
+    names that now exist, each once.
     """
     own = not isinstance(target, sqlite3.Connection)
     connection = sqlite3.connect(target) if own else target
     created: List[str] = []
     try:
         with connection:
+            # Every existing index by name, with the table and columns it
+            # covers: a name is reused only for the same column list.
+            owners = {
+                name: (table,) + tuple(
+                    record[2]
+                    for record in connection.execute(
+                        f"PRAGMA index_info({_quote_ident(name)})"
+                    )
+                )
+                for name, table in connection.execute(
+                    "SELECT name, tbl_name FROM sqlite_master "
+                    "WHERE type = 'index'"
+                ).fetchall()
+            }
             for relation in schema:
                 if not _table_exists(connection, relation.name):
                     continue
@@ -343,18 +361,26 @@ def ensure_fd_indexes(
                     orders = [lhs + dependent]
                     orders.extend([attr] + lhs for attr in dependent)
                     for columns in orders:
-                        index_name = "_repro_idx_{}_{}".format(
+                        covered = (relation.name,) + tuple(columns)
+                        base = "_repro_idx_{}_{}".format(
                             relation.name, "_".join(columns)
                         )
-                        column_list = ", ".join(
-                            _quote_ident(column) for column in columns
-                        )
-                        connection.execute(
-                            "CREATE INDEX IF NOT EXISTS "
-                            f"{_quote_ident(index_name)} "
-                            f"ON {_quote_ident(relation.name)} ({column_list})"
-                        )
-                        created.append(index_name)
+                        index_name, suffix = base, 0
+                        while owners.get(index_name, covered) != covered:
+                            suffix += 1
+                            index_name = f"{base}_{suffix}"
+                        if index_name not in owners:
+                            column_list = ", ".join(
+                                _quote_ident(column) for column in columns
+                            )
+                            connection.execute(
+                                f"CREATE INDEX {_quote_ident(index_name)} "
+                                f"ON {_quote_ident(relation.name)} "
+                                f"({column_list})"
+                            )
+                            owners[index_name] = covered
+                        if index_name not in created:
+                            created.append(index_name)
         return created
     finally:
         if own:

@@ -85,6 +85,23 @@ REWRITABLE_SHAPES = [
     ("cross-domain-inequality", Exists(["z"], And([_r(x, y, z), Comparison("!=", y, "k0")])), None),
     ("order-on-names", Exists(["z"], And([_r(x, y, z), Comparison("<", x, z)])), None),
     ("repeated-variable", Exists(["y"], _r(x, y, x)), None),
+    # One dirty atom certified over every other atom, in shapes the
+    # multi-dirty C_forest analysis would reject: a clean self-join whose
+    # variable y occurs in three atoms, and a comparison between the
+    # dirty atom and a clean atom it shares no variable with.
+    (
+        "clean-self-join",
+        Exists(["z", "d"], And([_r(x, y, z), _s(y, c), _s(y, Var("d"))])),
+        None,
+    ),
+    (
+        "clean-only-comparison",
+        Exists(
+            ["y", "z", "w", "c"],
+            And([_r(x, y, z), _s(Var("w"), c), Comparison("<", y, Var("w"))]),
+        ),
+        None,
+    ),
 ]
 
 #: Both relations dirty: R(K -> A) joins S(A -> C) through S's full key.

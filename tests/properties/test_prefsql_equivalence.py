@@ -60,6 +60,30 @@ SHAPES = [
     ),
     ("clean-join", Exists(["z"], And([Atom("R", [x, y, z]), Atom("S", [y, c])]))),
     ("closed", Exists(["k", "a", "b"], Atom("R", [Var("k"), Var("a"), Var("b")]))),
+    # One dirty atom certified over every other atom, in shapes the
+    # multi-dirty C_forest analysis would reject: a clean self-join whose
+    # variable y occurs in three atoms, and a comparison between the
+    # dirty atom and a clean atom it shares no variable with.
+    (
+        "clean-self-join",
+        Exists(
+            ["z", "d"],
+            And([Atom("R", [x, y, z]), Atom("S", [y, c]), Atom("S", [y, Var("d")])]),
+        ),
+    ),
+    (
+        "clean-only-comparison",
+        Exists(
+            ["y", "z", "w", "c"],
+            And(
+                [
+                    Atom("R", [x, y, z]),
+                    Atom("S", [Var("w"), c]),
+                    Comparison("<", y, Var("w")),
+                ]
+            ),
+        ),
+    ),
 ]
 
 

@@ -14,7 +14,7 @@ from repro.relational.csv_io import (
 from repro.relational.database import Database
 from repro.relational.domain import AttributeType
 from repro.relational.instance import RelationInstance
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.constraints.fd import FunctionalDependency
 from repro.relational.sqlite_io import (
     ensure_fd_indexes,
@@ -273,6 +273,58 @@ class TestFdIndexes:
                 )
             ]
         assert columns == ["Salary", "Name"]
+
+    def test_column_lists_that_join_alike_get_distinct_names(self, tmp_path):
+        # ("A", "B_C") and ("A_B", "C") both join to "A_B_C": the second
+        # list must still get an index of its own, under another name.
+        schema = RelationSchema("R", ["A", "B_C", "A_B", "C"])
+        fds = [
+            FunctionalDependency.parse("A -> B_C", "R"),
+            FunctionalDependency.parse("A_B -> C", "R"),
+        ]
+        path = tmp_path / "db.sqlite"
+        save_instance(
+            RelationInstance.from_values(schema, [("a", "bc", "ab", "c")]),
+            path,
+        )
+        first = ensure_fd_indexes(path, DatabaseSchema([schema]), fds)
+        second = ensure_fd_indexes(path, DatabaseSchema([schema]), fds)
+        with sqlite3.connect(path) as connection:
+            indexes = {
+                name: tuple(
+                    record[2]
+                    for record in connection.execute(
+                        f'PRAGMA index_info("{name}")'
+                    )
+                )
+                for (name,) in connection.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'index' "
+                    "AND tbl_name = 'R'"
+                )
+            }
+        assert indexes == {
+            "_repro_idx_R_A_B_C": ("A", "B_C"),
+            "_repro_idx_R_B_C_A": ("B_C", "A"),
+            "_repro_idx_R_A_B_C_1": ("A_B", "C"),
+            "_repro_idx_R_C_A_B": ("C", "A_B"),
+        }
+        assert first == second == list(indexes)
+
+    def test_each_index_name_is_returned_once(self, tmp_path):
+        # Both dependencies ask for the (Dept, Name) index.
+        path = tmp_path / "db.sqlite"
+        save_instance(sample_instance(), path)
+        fds = [
+            FunctionalDependency.parse("Name -> Dept", "Mgr"),
+            FunctionalDependency.parse("Name -> Dept, Salary", "Mgr"),
+        ]
+        names = ensure_fd_indexes(path, load_schema(path), fds)
+        assert names == [
+            "_repro_idx_Mgr_Name_Dept",
+            "_repro_idx_Mgr_Dept_Name",
+            "_repro_idx_Mgr_Name_Dept_Salary",
+            "_repro_idx_Mgr_Salary_Name",
+        ]
 
     def test_indexes_skip_inapplicable_dependencies(self, tmp_path):
         path = tmp_path / "db.sqlite"

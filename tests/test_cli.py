@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import io
+import json
+
 import pytest
 
 from repro.cli import main
@@ -557,12 +560,39 @@ class TestAnalyzeCommand:
 
 
 class TestServeBackendFlag:
-    def test_no_pushdown_conflicts_with_pushdown_backends(self, mgr_csv):
-        for backend in ("sqlite", "prefsql"):
-            with pytest.raises(SystemExit, match="--no-pushdown"):
-                main(
-                    [
-                        "serve", "--csv", str(mgr_csv), "--fd", MGR_FDS[0],
-                        "--backend", backend, "--no-pushdown", "--stdio",
-                    ]
-                )
+    PRIORITY = ["--prefer-new", "Salary"]
+
+    @pytest.mark.parametrize(
+        "flags,engine",
+        [
+            (["--backend", "memory"], "incremental"),
+            (["--backend", "memory", *PRIORITY], "incremental"),
+            (["--backend", "sqlite"], "sqlite"),
+            (["--backend", "sqlite", *PRIORITY], "incremental"),
+            (["--backend", "prefsql"], "sqlite"),
+            (["--backend", "prefsql", *PRIORITY], "prefsql"),
+            (PRIORITY, "prefsql"),
+        ],
+    )
+    def test_backend_picks_the_serving_engine(
+        self, mgr_csv, monkeypatch, capsys, flags, engine
+    ):
+        # A rewritable query: --backend memory registers no SQLite
+        # mirror, so it stays in memory even without a priority; the
+        # default is prefsql.
+        script = "\n".join(
+            [
+                json.dumps({"op": "health"}),
+                json.dumps({"query": "EXISTS n, s, r, o . Mgr(n, d, s, r, o)"}),
+            ]
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        assert main(
+            ["serve", "--stdio", "--csv", str(mgr_csv), "--fd", MGR_FDS[0]]
+            + flags
+        ) == 0
+        health, answer = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert health["backends"] == {"default": engine}
+        assert answer["engine"] == engine

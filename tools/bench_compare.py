@@ -13,9 +13,8 @@ metric classes get **regression warnings** at a 2x threshold:
 
 * ``*speedup`` metrics (higher is better) warn when the fresh value
   falls below half the committed one;
-* ``*throughput*`` / ``*_rps`` metrics (higher is better, e.g. the
-  per-cell rates of ``BENCH_serve_scale.json``) warn the same way when
-  throughput halves;
+* ``*throughput*`` / ``*_rps`` metrics (higher is better) warn the
+  same way when throughput halves;
 * ``*p95*`` latency metrics (lower is better) warn when the fresh value
   exceeds twice the committed one.  A p95 missing on either side is
   skipped: the harness writes one only for routes with enough samples.
