@@ -12,20 +12,28 @@ Subcommands::
     repro query      --sqlite db.sqlite --relation R --fd "A -> B"
                      --backend prefsql --prefer-new TS [--explain]
                      --query "EXISTS y . R(x, y)"
+    repro session    --csv data.csv --fd "A -> B" --script script.txt
+    repro serve      --csv data.csv --fd "A -> B" [--stdio]
     repro examples   [--name mgr]
 
 Data can come from CSV (``--csv``, relation named after the file stem
 unless ``--relation`` is given) or from a SQLite database
 (``--sqlite db.sqlite --relation R``).  Priorities are supplied either
 with ``--prefer-new COLUMN`` (newer/larger value wins conflicts) or
-``--prefer-source COLUMN --source-order "s1>s3,s2>s3"``.
+``--prefer-source COLUMN --source-order "s1>s3,s2>s3"``.  Either flag
+is one orientation rule (:mod:`repro.priorities.builders`): it orients
+the loaded conflicts, and ``serve``, ``session`` and ``loadtest`` hand
+it to the broker, which orients every conflict a later insert creates.
 
-``query`` and ``analyze`` read the data into memory and register it on
-one :class:`~repro.service.broker.RequestBroker`, so they route exactly
-as ``serve`` and ``session`` do: ``--backend memory`` registers no
-SQLite mirror, ``sqlite`` a mirror with the preference-aware pushdown
-off, ``prefsql`` both.  A query no pushed engine takes is served by the
-broker's incremental engine and reported as ``fallback: <reason>``.
+``query``, ``analyze``, ``session`` and ``serve`` register the data on
+one :class:`~repro.service.broker.RequestBroker`, so they route alike:
+``--backend memory`` registers no SQLite mirror, ``sqlite`` a mirror
+with the preference-aware pushdown off, ``prefsql`` both.  A query no
+pushed engine takes is served by the broker's incremental engine and
+reported as ``fallback: <reason>``.  ``session`` replays its script
+through :class:`~repro.service.server.ServiceFrontEnd`, one ``insert``,
+``delete`` or ``query`` payload per line, and ``query --json`` prints
+the front end's answer encoding plus the ``backend`` route label.
 """
 
 from __future__ import annotations
@@ -37,25 +45,18 @@ from typing import Optional, Sequence
 from repro.constraints.conflict_graph import build_conflict_graph, render_conflict_graph
 from repro.constraints.fd import FunctionalDependency
 from repro.core.cleaning import clean
-from repro.core.families import Family, preferred_repairs
+from repro.core.families import FAMILY_CODES, preferred_repairs
 from repro.cqa.engine import CqaEngine
 from repro.priorities.builders import (
-    priority_from_ranking,
-    priority_from_source_reliability,
+    priority_from_rule,
+    ranking_rule,
+    source_order_rule,
 )
 from repro.priorities.priority import empty_priority
 from repro.relational.csv_io import read_instance_csv
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import sorted_rows
 from repro.relational.sqlite_io import load_database, load_instance
-
-_FAMILY_CODES = {
-    "Rep": Family.REP,
-    "L": Family.LOCAL,
-    "S": Family.SEMI_GLOBAL,
-    "G": Family.GLOBAL,
-    "C": Family.COMMON,
-}
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
@@ -97,6 +98,9 @@ def _load_instance(args: argparse.Namespace) -> RelationInstance:
 
 
 def _build_setting(args: argparse.Namespace):
+    """The loaded instance, its FDs and conflict graph, the priority the
+    ``--prefer-*`` flags give its conflicts, and those flags' rule
+    (``None`` without them), which a broker applies to later inserts."""
     instance = _load_instance(args)
     dependencies = [
         FunctionalDependency.parse(spec, instance.schema.name) for spec in args.fd
@@ -104,18 +108,19 @@ def _build_setting(args: argparse.Namespace):
     if not dependencies:
         raise SystemExit("at least one --fd is required")
     graph = build_conflict_graph(instance, dependencies)
-    priority = empty_priority(graph)
+    orient = None
     if args.prefer_new:
         column = args.prefer_new
-        priority = priority_from_ranking(graph, lambda row: row[column])
+        orient = ranking_rule(lambda row: row[column])
     elif args.prefer_source:
         column = args.prefer_source
-        priority = priority_from_source_reliability(
-            graph,
-            {row: row[column] for row in graph.vertices},
-            _parse_source_order(args),
+        orient = source_order_rule(
+            lambda row: row[column], _parse_source_order(args)
         )
-    return instance, dependencies, graph, priority
+    priority = (
+        empty_priority(graph) if orient is None else priority_from_rule(graph, orient)
+    )
+    return instance, dependencies, graph, priority, orient
 
 
 def _parse_source_order(args: argparse.Namespace):
@@ -131,47 +136,8 @@ def _parse_source_order(args: argparse.Namespace):
     return pairs
 
 
-def _session_orientation_rule(args: argparse.Namespace):
-    """The CLI priority flags as a rule applicable to *new* conflicts.
-
-    ``_build_setting`` orients only the conflicts of the loaded
-    instance; a session keeps creating conflicts via ``+`` lines, so
-    the same preference must be re-applied to every delta edge or the
-    session would silently diverge from ``repro cqa`` on the final
-    instance.  Returns ``None`` when no preference flags are given.
-    """
-    if args.prefer_new:
-        column = args.prefer_new
-
-        def orient(first, second):
-            rank_first, rank_second = first[column], second[column]
-            if rank_first == rank_second:
-                return None
-            return (
-                (first, second) if rank_first > rank_second else (second, first)
-            )
-
-        return orient
-    if args.prefer_source:
-        from repro.priorities.builders import _transitive_closure
-
-        closure = _transitive_closure(_parse_source_order(args))
-        column = args.prefer_source
-
-        def orient(first, second):
-            src_first, src_second = first[column], second[column]
-            if (src_first, src_second) in closure:
-                return first, second
-            if (src_second, src_first) in closure:
-                return second, first
-            return None
-
-        return orient
-    return None
-
-
 def _cmd_conflicts(args: argparse.Namespace) -> int:
-    _, _, graph, priority = _build_setting(args)
+    _, _, graph, priority, _ = _build_setting(args)
     print(
         f"{graph.vertex_count} tuples, {graph.edge_count} conflicts, "
         f"{len(priority.edges)} oriented"
@@ -181,8 +147,8 @@ def _cmd_conflicts(args: argparse.Namespace) -> int:
 
 
 def _cmd_repairs(args: argparse.Namespace) -> int:
-    _, _, graph, priority = _build_setting(args)
-    family = _FAMILY_CODES[args.family]
+    _, _, graph, priority, _ = _build_setting(args)
+    family = FAMILY_CODES[args.family]
     repairs = preferred_repairs(family, priority)
     shown = repairs[: args.limit] if args.limit else repairs
     print(f"{family}: {len(repairs)} repair(s)")
@@ -195,7 +161,7 @@ def _cmd_repairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
-    _, _, graph, priority = _build_setting(args)
+    _, _, graph, priority, _ = _build_setting(args)
     result = clean(priority)
     if not priority.is_total:
         print(
@@ -208,8 +174,8 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_cqa(args: argparse.Namespace) -> int:
-    instance, dependencies, graph, priority = _build_setting(args)
-    family = _FAMILY_CODES[args.family]
+    instance, dependencies, _, priority, _ = _build_setting(args)
+    family = FAMILY_CODES[args.family]
     engine = CqaEngine(instance, dependencies, priority, family)
     answer = engine.answer(args.query)
     print(f"family={family} verdict={answer.verdict.value}")
@@ -223,25 +189,9 @@ def _cmd_cqa(args: argparse.Namespace) -> int:
     return 0 if answer.verdict.value != "undetermined" else 2
 
 
-def _sorted_answers(tuples):
-    """Deterministic listing order for answer tuples.
-
-    Answer columns can mix names and naturals (e.g. active-domain
-    variables), so plain ``sorted`` would raise on ``int < str``;
-    this mirrors the mixed-domain ordering rows use.
-    """
-
-    def key(answer):
-        return tuple(
-            (0, f"{value:020d}") if isinstance(value, int) else (1, str(value))
-            for value in answer
-        )
-
-    return sorted(tuples, key=key)
-
-
-def _format_answer_tuples(tuples) -> str:
-    return ", ".join(str(tuple(answer)) for answer in _sorted_answers(tuples)) or "(none)"
+def _listing(answers) -> str:
+    """Answer tuples, already in wire order, as one text line."""
+    return ", ".join(str(tuple(answer)) for answer in answers) or "(none)"
 
 
 def _register(args: argparse.Namespace, backend: str = "memory"):
@@ -254,9 +204,9 @@ def _register(args: argparse.Namespace, backend: str = "memory"):
     """
     from repro.service.broker import Request, RequestBroker
 
-    family = _FAMILY_CODES[args.family]
+    family = FAMILY_CODES[args.family]
     if args.prefer_new or args.prefer_source:
-        data, dependencies, _, priority = _build_setting(args)
+        data, dependencies, _, priority, _ = _build_setting(args)
         edges = priority.edges
     else:
         dependencies = [
@@ -395,6 +345,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import format_tree, trace
+    from repro.service.server import encode_result
 
     if args.backend == "sqlite":
         if not args.sqlite:
@@ -423,59 +374,34 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 request.query, request.family, request.variables
             )
             route = "memory" if decision is None else decision.fallback_route
-    code, payload = _print_answer(args, route, result)
+    payload = {"backend": route, **encode_result(result)}
     if args.profile:
         tracer.root.attributes.setdefault("backend", args.backend)
         tracer.root.attributes.setdefault("route", route)
-        if payload is not None:
+        if args.json:
             # Under --json the tree is embedded as the payload's "trace"
             # key (stdout stays one JSON object) and pretty-printed to
             # stderr for humans.
             payload["trace"] = tracer.root.to_dict()
-    if payload is not None:
+    if args.json:
         print(json.dumps(payload))
+    else:
+        _print_answer(payload)
     if args.profile:
         stream = sys.stderr if args.json else sys.stdout
         print(format_tree(tracer.root), file=stream)
-    return code
+    return 2 if payload.get("verdict") == "undetermined" else 0
 
 
-def _print_answer(args: argparse.Namespace, route: str, result):
-    """Print (text) or return (``--json``) one served answer.
-
-    Returns ``(exit_code, payload)`` — ``payload`` is the JSON body
-    under ``--json`` (printed by the caller, which may first attach a
-    span tree) and None in text mode (already printed here).
-    """
-    from repro.cqa.answers import ClosedAnswer
-
-    family = result.request.family
-    outcome = result.outcome
-    if isinstance(outcome, ClosedAnswer):
-        verdict = outcome.verdict.value
-        code = 0 if verdict != "undetermined" else 2
-        if args.json:
-            return code, {
-                "backend": route,
-                "family": str(family),
-                "verdict": verdict,
-            }
-        print(f"backend: {route}")
-        print(f"family={family} verdict={verdict}")
-        return code, None
-    if args.json:
-        return 0, {
-            "backend": route,
-            "family": str(family),
-            "variables": list(outcome.variables),
-            "certain": list(map(list, _sorted_answers(outcome.certain))),
-            "possible": list(map(list, _sorted_answers(outcome.possible))),
-        }
-    print(f"backend: {route}")
-    print(f"variables: {', '.join(outcome.variables)}")
-    print(f"certain: {_format_answer_tuples(outcome.certain)}")
-    print(f"possible: {_format_answer_tuples(outcome.possible)}")
-    return 0, None
+def _print_answer(payload: dict) -> None:
+    """One served answer's wire form (``encode_result``) as text."""
+    print(f"backend: {payload['backend']}")
+    if payload["kind"] == "closed":
+        print(f"family={payload['family']} verdict={payload['verdict']}")
+        return
+    print(f"variables: {', '.join(payload['variables'])}")
+    print(f"certain: {_listing(payload['certain'])}")
+    print(f"possible: {_listing(payload['possible'])}")
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
@@ -487,11 +413,11 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         range_consistent_answer,
     )
 
-    _, _, graph, priority = _build_setting(args)
+    _, _, graph, priority, _ = _build_setting(args)
     aggregate = Aggregate[args.agg.upper().replace("(*)", "_STAR")]
     if aggregate.needs_attribute and not args.attribute:
         raise SystemExit(f"{aggregate.value} requires --attribute")
-    family = _FAMILY_CODES[args.family]
+    family = FAMILY_CODES[args.family]
     if args.closed_form:
         result = key_range_consistent_answer(graph, aggregate, args.attribute)
     else:
@@ -529,17 +455,16 @@ def _parse_session_values(schema, payload: str):
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
-    """Run a ``+``/``-``/``?`` update-and-query script through a broker."""
+    """Replay a ``+``/``-``/``?`` update-and-query script through the
+    service's front end: each line becomes one ``insert``, ``delete`` or
+    ``query`` payload, and its event is the front end's reply."""
     import json
 
-    from repro.cqa.answers import ClosedAnswer
     from repro.exceptions import ReproError
-    from repro.relational.rows import Row
     from repro.service.broker import RequestBroker
+    from repro.service.server import ServiceFrontEnd
 
-    instance, dependencies, graph, priority = _build_setting(args)
-    family = _FAMILY_CODES[args.family]
-    orient = _session_orientation_rule(args)
+    instance, dependencies, _, priority, orient = _build_setting(args)
     schema = instance.schema
     if args.script and args.script != "-":
         with open(args.script, "r", encoding="utf-8") as handle:
@@ -551,122 +476,73 @@ def _cmd_session(args: argparse.Namespace) -> int:
     # active (prioritized reads stay in memory, as with prefsql off).
     broker = RequestBroker()
     name = broker.register(
-        schema.name, instance, dependencies, priority.edges, family,
+        schema.name, instance, dependencies, priority.edges,
+        FAMILY_CODES[args.family],
         sqlite_pushdown=args.backend == "sqlite",
         prefsql_pushdown=False,
+        orient=orient,
     )
-    engine = broker.engine(name)
+    front = ServiceFrontEnd(broker)
     events = []
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        op, payload = line[0], line[1:].strip()
-        try:
-            if op == "+":
-                values = _parse_session_values(schema, payload)
-                delta = broker.insert(Row(schema, values), name)
-                if orient is not None:
-                    # Extend the declared priority to the new conflicts,
-                    # mirroring what --prefer-* did for the initial load.
-                    for pair in delta.added_edges:
-                        oriented = orient(*tuple(pair))
-                        if oriented is not None:
-                            broker.prefer(*oriented, name)
-                events.append(
-                    {
-                        "op": "insert",
-                        "line": number,
-                        "values": values,
-                        "applied": not delta.is_noop,
-                        "new_conflicts": len(delta.added_edges),
-                        "tuples": engine.graph.vertex_count,
-                        "conflicts": engine.graph.edge_count,
-                    }
-                )
-            elif op == "-":
-                values = _parse_session_values(schema, payload)
-                delta = broker.delete(Row(schema, values), name)
-                events.append(
-                    {
-                        "op": "delete",
-                        "line": number,
-                        "values": values,
-                        "applied": True,
-                        "removed_conflicts": len(delta.removed_edges),
-                        "tuples": engine.graph.vertex_count,
-                        "conflicts": engine.graph.edge_count,
-                    }
-                )
-            elif op == "?":
-                served = broker.query(payload, database=name)
-                result = served.outcome
-                event = {
-                    "op": "query",
-                    "line": number,
-                    "query": payload,
-                    "family": str(family),
-                    "backend": "sqlite" if served.engine == "sqlite" else "memory",
-                }
-                if isinstance(result, ClosedAnswer):
-                    event.update(
-                        verdict=result.verdict.value,
-                        repairs_considered=result.repairs_considered,
-                        satisfying=result.satisfying,
-                    )
-                else:
-                    event.update(
-                        variables=list(result.variables),
-                        certain=list(map(list, _sorted_answers(result.certain))),
-                        possible=list(map(list, _sorted_answers(result.possible))),
-                        repairs_considered=result.repairs_considered,
-                    )
-                events.append(event)
-            else:
-                raise SystemExit(
-                    f"line {number}: expected '+', '-' or '?', got {line!r}"
-                )
-        except ReproError as exc:
-            raise SystemExit(f"line {number}: {exc}")
+        op, text = line[0], line[1:].strip()
+        if op == "?":
+            request = {"op": "query", "query": text}
+        elif op in ("+", "-"):
+            try:
+                values = _parse_session_values(schema, text)
+            except ReproError as exc:
+                raise SystemExit(f"line {number}: {exc}")
+            request = {"op": "insert" if op == "+" else "delete", "values": values}
+        else:
+            raise SystemExit(
+                f"line {number}: expected '+', '-' or '?', got {line!r}"
+            )
+        reply = front.handle({**request, "database": name})
+        if "error" in reply:
+            raise SystemExit(f"line {number}: {reply['error']}")
+        # A trace id names one run's recording; events stay reproducible.
+        reply.pop("trace_id", None)
+        events.append({"op": request["op"], "line": number, **request, **reply})
     broker.close()
+    summary = broker.engine(name).summary()
     if args.json:
-        print(json.dumps({"events": events, "summary": engine.summary()}, default=str))
-    else:
-        for event in events:
-            if event["op"] == "insert":
-                print(
-                    f"+ {event['values']} -> {event['new_conflicts']} new conflict(s), "
-                    f"{event['tuples']} tuples"
-                )
-            elif event["op"] == "delete":
-                print(
-                    f"- {event['values']} -> {event['removed_conflicts']} conflict(s) removed, "
-                    f"{event['tuples']} tuples"
-                )
-            elif "verdict" in event:
-                detail = (
-                    "pushed to sqlite"
-                    if event.get("backend") == "sqlite"
-                    else f"{event['satisfying']}/{event['repairs_considered']} repairs"
-                )
-                print(
-                    f"? {event['query']} [{event['family']}] = {event['verdict']} "
-                    f"({detail})"
-                )
-            else:
-                certain = ", ".join(str(tuple(a)) for a in event["certain"]) or "(none)"
-                suffix = (
-                    " (via sqlite)" if event.get("backend") == "sqlite" else ""
-                )
-                print(
-                    f"? {event['query']} [{event['family']}] certain: {certain}"
-                    f"{suffix}"
-                )
-        summary = engine.summary()
-        print(
-            f"session end: {summary['tuples']} tuples, {summary['conflicts']} conflicts, "
-            f"{summary['updates_applied']} updates applied"
-        )
+        print(json.dumps({"events": events, "summary": summary}, default=str))
+        return 0
+    for event in events:
+        if event["op"] == "insert":
+            print(
+                f"+ {event['values']} -> {event['new_conflicts']} new conflict(s), "
+                f"{event['tuples']} tuples"
+            )
+        elif event["op"] == "delete":
+            print(
+                f"- {event['values']} -> {event['removed_conflicts']} conflict(s) removed, "
+                f"{event['tuples']} tuples"
+            )
+        elif event["kind"] == "closed":
+            detail = (
+                "pushed to sqlite"
+                if event["engine"] == "sqlite"
+                else f"{event['satisfying']}/{event['repairs_considered']} repairs"
+            )
+            print(
+                f"? {event['query']} [{event['family']}] = {event['verdict']} "
+                f"({detail})"
+            )
+        else:
+            suffix = " (via sqlite)" if event["engine"] == "sqlite" else ""
+            print(
+                f"? {event['query']} [{event['family']}] certain: "
+                f"{_listing(event['certain'])}{suffix}"
+            )
+    print(
+        f"session end: {summary['tuples']} tuples, {summary['conflicts']} conflicts, "
+        f"{summary['updates_applied']} updates applied"
+    )
     return 0
 
 
@@ -680,8 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serve_stdio,
     )
 
-    instance, dependencies, _, priority = _build_setting(args)
-    family = _FAMILY_CODES[args.family]
+    instance, dependencies, _, priority, orient = _build_setting(args)
     if args.trace_sample is not None:
         if not 0.0 <= args.trace_sample <= 1.0:
             raise SystemExit("--trace-sample must be in [0, 1]")
@@ -702,9 +577,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         instance,
         dependencies,
         priority.edges,
-        family,
+        FAMILY_CODES[args.family],
         sqlite_pushdown=args.backend != "memory",
         prefsql_pushdown=args.backend == "prefsql",
+        orient=orient,
     )
     access_stream = None
     owns_stream = False
@@ -1008,7 +884,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         from repro.service.broker import RequestBroker
         from repro.service.server import ServiceFrontEnd
 
-        instance, dependencies, _, priority = _build_setting(args)
+        instance, dependencies, _, priority, orient = _build_setting(args)
         database = Database([instance] + _churn_schemas(loaded))
         broker = RequestBroker(parallel=args.parallel)
         broker.register(
@@ -1016,7 +892,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             database,
             dependencies,
             priority.edges,
-            _FAMILY_CODES[args.family],
+            FAMILY_CODES[args.family],
+            orient=orient,
         )
         target = InProcessTarget(ServiceFrontEnd(broker))
         RECORDER.reset()
@@ -1096,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     repairs = subparsers.add_parser("repairs", help="list preferred repairs")
     _add_data_arguments(repairs)
-    repairs.add_argument("--family", choices=_FAMILY_CODES, default="Rep")
+    repairs.add_argument("--family", choices=FAMILY_CODES, default="Rep")
     repairs.add_argument("--limit", type=int, default=20)
     repairs.set_defaults(handler=_cmd_repairs)
 
@@ -1106,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cqa = subparsers.add_parser("cqa", help="preferred consistent query answer")
     _add_data_arguments(cqa)
-    cqa.add_argument("--family", choices=_FAMILY_CODES, default="Rep")
+    cqa.add_argument("--family", choices=FAMILY_CODES, default="Rep")
     cqa.add_argument("--query", required=True, help="closed first-order query")
     cqa.set_defaults(handler=_cmd_cqa)
 
@@ -1124,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_data_arguments(query_cmd)
-    query_cmd.add_argument("--family", choices=_FAMILY_CODES, default="Rep")
+    query_cmd.add_argument("--family", choices=FAMILY_CODES, default="Rep")
     query_target = query_cmd.add_mutually_exclusive_group(required=True)
     query_target.add_argument("--query", help="first-order query (open or closed)")
     query_target.add_argument("--sql", help="conjunctive SELECT query")
@@ -1172,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_data_arguments(analyze_cmd)
-    analyze_cmd.add_argument("--family", choices=_FAMILY_CODES, default="Rep")
+    analyze_cmd.add_argument("--family", choices=FAMILY_CODES, default="Rep")
     analyze_target = analyze_cmd.add_mutually_exclusive_group(required=True)
     analyze_target.add_argument(
         "--query", help="first-order query (open or closed)"
@@ -1194,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate function (count_star = COUNT(*))",
     )
     aggregate.add_argument("--attribute", help="attribute to aggregate")
-    aggregate.add_argument("--family", choices=_FAMILY_CODES, default="Rep")
+    aggregate.add_argument("--family", choices=FAMILY_CODES, default="Rep")
     aggregate.add_argument(
         "--closed-form",
         action="store_true",
@@ -1216,7 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_data_arguments(session)
-    session.add_argument("--family", choices=_FAMILY_CODES, default="Rep")
+    session.add_argument("--family", choices=FAMILY_CODES, default="Rep")
     session.add_argument(
         "--script", help="script file ('-' or omitted reads stdin)"
     )
@@ -1249,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_data_arguments(serve)
-    serve.add_argument("--family", choices=_FAMILY_CODES, default="Rep")
+    serve.add_argument("--family", choices=FAMILY_CODES, default="Rep")
     serve.add_argument(
         "--name", default="default", help="name the database registers under"
     )
@@ -1474,7 +1351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", help="base URL of a running service (default: in-process)"
     )
     _add_data_arguments(loadtest)
-    loadtest.add_argument("--family", choices=_FAMILY_CODES, default="Rep")
+    loadtest.add_argument("--family", choices=FAMILY_CODES, default="Rep")
     loadtest.add_argument(
         "--parallel", type=int, default=None, metavar="N",
         help="in-process broker worker count (0 = all cores)",

@@ -59,6 +59,17 @@ class Family(enum.Enum):
         return self.value
 
 
+#: Short codes of the families: the CLI's ``--family`` values and the
+#: service's and workload files' wire names.
+FAMILY_CODES: Dict[str, Family] = {
+    "Rep": Family.REP,
+    "L": Family.LOCAL,
+    "S": Family.SEMI_GLOBAL,
+    "G": Family.GLOBAL,
+    "C": Family.COMMON,
+}
+
+
 def select_preferred(
     family: Family, priority: Priority, pool: Sequence[Repair]
 ) -> List[Repair]:

@@ -37,22 +37,13 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.families import Family
+from repro.core.families import FAMILY_CODES, Family
 
 from .recorder import QueryRecord
 
 #: Magic + version the loader accepts.
 FORMAT_NAME = "repro-workload"
 FORMAT_VERSION = 1
-
-#: Wire codes of the repair families (mirrors the CLI's ``--family``).
-FAMILY_CODES: Dict[str, Family] = {
-    "Rep": Family.REP,
-    "L": Family.LOCAL,
-    "S": Family.SEMI_GLOBAL,
-    "G": Family.GLOBAL,
-    "C": Family.COMMON,
-}
 
 #: Accept both the short codes and ``str(Family)`` forms ("G-Rep") on
 #: input — recorder records carry the latter — normalising to the code.

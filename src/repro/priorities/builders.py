@@ -32,6 +32,23 @@ from repro.priorities.priority import Priority, PriorityEdge
 from repro.relational.rows import Row, sorted_rows
 
 
+#: A rule that orients one conflict: ``(first, second)`` maps to the
+#: ``(winner, loser)`` edge, or to ``None`` when it stays unoriented.
+#: Applied to the loaded conflicts by :func:`priority_from_rule`, and by
+#: a broker to the conflicts later inserts create.
+OrientationRule = Callable[[Row, Row], Optional[PriorityEdge]]
+
+
+def priority_from_rule(graph: ConflictGraph, orient: OrientationRule) -> Priority:
+    """Priority orienting each conflict edge of ``graph`` by ``orient``."""
+    edges: List[PriorityEdge] = []
+    for pair in graph.edges():
+        oriented = orient(*tuple(pair))
+        if oriented is not None:
+            edges.append(oriented)
+    return Priority(graph, edges)
+
+
 def priority_from_pairs(
     graph: ConflictGraph, pairs: Iterable[Tuple[Row, Row]]
 ) -> Priority:
@@ -59,6 +76,23 @@ def priority_from_relation(
     return Priority(graph, filtered)
 
 
+def ranking_rule(
+    rank_of: Callable[[Row], float], higher_wins: bool = True
+) -> OrientationRule:
+    """The rule of :func:`priority_from_ranking`: a conflict is oriented
+    away from the tuple that loses on rank; ties stay unoriented."""
+
+    def orient(first: Row, second: Row) -> Optional[PriorityEdge]:
+        rank_first, rank_second = rank_of(first), rank_of(second)
+        if rank_first == rank_second:
+            return None
+        if (rank_first > rank_second) == higher_wins:
+            return first, second
+        return second, first
+
+    return orient
+
+
 def priority_from_ranking(
     graph: ConflictGraph,
     rank_of: Callable[[Row], float],
@@ -71,17 +105,7 @@ def priority_from_ranking(
     timestamp-based resolution ("remove from consideration old, outdated
     tuples"): rank by modification time with ``higher_wins=True``.
     """
-    edges: List[PriorityEdge] = []
-    for pair in graph.edges():
-        first, second = tuple(pair)
-        rank_first, rank_second = rank_of(first), rank_of(second)
-        if rank_first == rank_second:
-            continue
-        winner, loser = (
-            (first, second) if (rank_first > rank_second) == higher_wins else (second, first)
-        )
-        edges.append((winner, loser))
-    return Priority(graph, edges)
+    return priority_from_rule(graph, ranking_rule(rank_of, higher_wins))
 
 
 def priority_from_timestamps(
@@ -92,6 +116,35 @@ def priority_from_timestamps(
     if missing:
         raise PriorityError(f"missing timestamps for {len(missing)} tuples")
     return priority_from_ranking(graph, timestamp_of.__getitem__)
+
+
+def source_order_rule(
+    source_of: Callable[[Row], Hashable],
+    more_reliable_than: Iterable[Tuple[Hashable, Hashable]],
+) -> OrientationRule:
+    """The rule of :func:`priority_from_source_reliability`: a conflict
+    is oriented from the more to the less reliable source, and stays
+    unoriented between sources the order does not compare.
+
+    Raises :class:`CyclicPriorityError` when the transitive closure of
+    ``more_reliable_than`` is not a strict partial order.
+    """
+    closure = _transitive_closure(list(more_reliable_than))
+    for source_a, source_b in closure:
+        if (source_b, source_a) in closure or source_a == source_b:
+            raise CyclicPriorityError(
+                f"source reliability order is cyclic around {source_a!r}"
+            )
+
+    def orient(first: Row, second: Row) -> Optional[PriorityEdge]:
+        src_first, src_second = source_of(first), source_of(second)
+        if (src_first, src_second) in closure:
+            return first, second
+        if (src_second, src_first) in closure:
+            return second, first
+        return None
+
+    return orient
 
 
 def priority_from_source_reliability(
@@ -106,21 +159,9 @@ def priority_from_source_reliability(
     Conflicts between sources the order does not compare stay
     unoriented — exactly how Example 3 leaves s1 vs s2 open.
     """
-    closure = _transitive_closure(list(more_reliable_than))
-    for source_a, source_b in closure:
-        if (source_b, source_a) in closure or source_a == source_b:
-            raise CyclicPriorityError(
-                f"source reliability order is cyclic around {source_a!r}"
-            )
-    edges: List[PriorityEdge] = []
-    for pair in graph.edges():
-        first, second = tuple(pair)
-        src_first, src_second = source_of[first], source_of[second]
-        if (src_first, src_second) in closure:
-            edges.append((first, second))
-        elif (src_second, src_first) in closure:
-            edges.append((second, first))
-    return Priority(graph, edges)
+    return priority_from_rule(
+        graph, source_order_rule(source_of.__getitem__, more_reliable_than)
+    )
 
 
 def random_priority(

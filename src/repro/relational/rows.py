@@ -87,8 +87,9 @@ class Row:
         return f"{self.relation}({inner})"
 
 
-def _sort_key(values: Sequence[Value]) -> Tuple[Tuple[int, str], ...]:
-    """Mixed str/int sort key (ints before strs, each naturally ordered)."""
+def values_sort_key(values: Sequence[Value]) -> Tuple[Tuple[int, str], ...]:
+    """Mixed str/int sort key (ints before strs, each naturally ordered)
+    of a value tuple: a row's values or an answer tuple."""
     return tuple(
         (0, f"{value:020d}") if isinstance(value, int) else (1, value)
         for value in values
@@ -98,7 +99,7 @@ def _sort_key(values: Sequence[Value]) -> Tuple[Tuple[int, str], ...]:
 def row_sort_key(row: Row) -> Tuple[str, Tuple[Tuple[int, str], ...]]:
     """The key of the deterministic row order (``Row.__lt__``); sorting
     with it builds each key once instead of twice per comparison."""
-    return (row.relation, _sort_key(row.values))
+    return (row.relation, values_sort_key(row.values))
 
 
 def sorted_rows(rows) -> list:

@@ -98,6 +98,7 @@ from repro.cqa.answers import ClosedAnswer, OpenAnswers
 from repro.exceptions import AdmissionError, QueryError
 from repro.incremental.engine import IncrementalCqaEngine
 from repro.obs import RECORDER, REGISTRY, observe_fallback
+from repro.priorities.builders import OrientationRule
 from repro.priorities.priority import PriorityEdge
 from repro.query.ast import Const, Formula, bind
 from repro.query.parser import lift_literals
@@ -310,6 +311,8 @@ class _Entry:
     family: Family
     #: Whether prioritized requests may use the prefsql rewriting.
     prefsql_pushdown: bool = True
+    #: The rule that orients the conflicts an insert creates, if any.
+    orient: Optional[OrientationRule] = None
     rw: ReadWriteLock = field(default_factory=ReadWriteLock)
     compute_lock: threading.Lock = field(default_factory=threading.Lock)
     mirror_lock: threading.Lock = field(default_factory=threading.Lock)
@@ -419,13 +422,18 @@ class RequestBroker:
         family: Family = Family.REP,
         sqlite_pushdown: bool = True,
         prefsql_pushdown: bool = True,
+        orient: Optional[OrientationRule] = None,
     ) -> str:
         """Register a database under ``name``; the first becomes default.
 
         ``sqlite_pushdown`` enables the mirror entirely;
         ``prefsql_pushdown`` additionally lets *prioritized* requests
         use the preference-aware rewriting (off: they stream repairs
-        in memory, the pre-prefsql behaviour).
+        in memory, the pre-prefsql behaviour).  ``orient`` is the rule
+        behind ``priority`` (:mod:`repro.priorities.builders`): every
+        insert declares the edge it gives each conflict the insert
+        creates, so the priority stays the one the rule derives from
+        the current instance.
         """
         with self._lock:
             if name in self._entries:
@@ -439,6 +447,7 @@ class RequestBroker:
             self._entries[name] = _Entry(
                 name, engine, mirror, family,
                 prefsql_pushdown=prefsql_pushdown,
+                orient=orient,
             )
             if self._default is None:
                 self._default = name
@@ -473,11 +482,17 @@ class RequestBroker:
             entry.mirror.mark_dirty()
 
     def insert(self, row: Row, database: Optional[str] = None):
-        """Insert a tuple; later lookups key on the new state."""
+        """Insert a tuple, orienting the conflicts it creates by the
+        database's rule; later lookups key on the new state."""
         entry = self._entry(database)
         with entry.rw.write():
             delta = entry.engine.insert(row)
             self._after_update(entry)
+            if entry.orient is not None:
+                for pair in delta.added_edges:
+                    oriented = entry.orient(*tuple(pair))
+                    if oriented is not None:
+                        entry.engine.prefer(*oriented)
         return delta
 
     def delete(self, row: Row, database: Optional[str] = None):

@@ -35,22 +35,12 @@ import time
 from datetime import datetime, timezone
 from typing import IO, Dict, List, Optional, Tuple
 
-from repro.core.families import Family
+from repro.core.families import FAMILY_CODES, Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers
 from repro.exceptions import AdmissionError, ReproError
 from repro.obs import RECORDER, REGISTRY, FlightRecorder, observe_process
-from repro.relational.rows import Row
+from repro.relational.rows import Row, values_sort_key
 from repro.service.broker import BrokerResult, Request, RequestBroker
-
-#: Wire names of the repair families (the CLI's ``--family`` codes).
-FAMILY_CODES: Dict[str, Family] = {
-    "Rep": Family.REP,
-    "L": Family.LOCAL,
-    "S": Family.SEMI_GLOBAL,
-    "G": Family.GLOBAL,
-    "C": Family.COMMON,
-}
-
 
 #: Largest accepted POST body; larger ones get a 413 unread.
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -58,14 +48,7 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 def _sorted_answers(tuples) -> List[Tuple]:
     """Deterministic listing order for mixed name/number answer tuples."""
-
-    def key(answer):
-        return tuple(
-            (0, f"{value:020d}") if isinstance(value, int) else (1, str(value))
-            for value in answer
-        )
-
-    return sorted(tuples, key=key)
+    return sorted(tuples, key=values_sort_key)
 
 
 class ServiceError(ValueError):
@@ -266,14 +249,20 @@ class ServiceFrontEnd:
         row, database = self._row_from(payload)
         if op == "insert":
             delta = self.broker.insert(row, database)
-            applied = not delta.is_noop
+            counts = {
+                "applied": not delta.is_noop,
+                "new_conflicts": len(delta.added_edges),
+            }
         else:
             delta = self.broker.delete(row, database)
-            applied = True
+            counts = {
+                "applied": True,
+                "removed_conflicts": len(delta.removed_edges),
+            }
         engine = self.broker.engine(database)
         return {
             "op": op,
-            "applied": applied,
+            **counts,
             "tuples": engine.graph.vertex_count,
             "conflicts": engine.graph.edge_count,
         }

@@ -73,6 +73,23 @@ class TestSessionScript:
         assert payload["summary"]["tuples"] == 4
         assert payload["summary"]["updates_applied"] == 1
 
+    def test_json_output_is_reproducible(self, tmp_path, kv_csv, capsys):
+        """Two runs of one script print the same bytes: events carry no
+        per-run trace id."""
+        script = "? R(x, y)\n+ 2, 0\n? EXISTS x . R(x, 0)\n- 0, 1\n? R(x, y)\n"
+        outputs = []
+        for _ in range(2):
+            assert run_session(script, tmp_path, kv_csv, "--json") == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        events = json.loads(outputs[0])["events"]
+        assert [event["op"] for event in events] == [
+            "query", "insert", "query", "delete", "query",
+        ]
+        assert all("trace_id" not in event for event in events)
+        assert events[1]["new_conflicts"] == 0
+        assert events[3]["removed_conflicts"] == 1
+
     def test_family_selection(self, tmp_path, kv_csv, capsys):
         # Prefer the newer (larger B) tuple: under L-Rep only {(0,1),(1,0)}
         # survives, so the query is certainly true.
@@ -211,8 +228,8 @@ class TestSessionSqliteBackend:
         for pushed, reference in zip(sqlite_events, memory_events):
             if pushed["op"] != "query":
                 continue
-            assert pushed["backend"] == "sqlite"
-            assert reference["backend"] == "memory"
+            assert (pushed["engine"], pushed["route"]) == ("sqlite", "sqlite")
+            assert reference["engine"] == "incremental"
             assert pushed["certain"] == reference["certain"]
             assert pushed["possible"] == reference["possible"]
 

@@ -14,8 +14,11 @@ from repro.priorities.builders import (
     priority_from_ranking,
     priority_from_relation,
     priority_from_source_reliability,
+    priority_from_rule,
     priority_from_timestamps,
     random_priority,
+    ranking_rule,
+    source_order_rule,
 )
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
@@ -94,6 +97,46 @@ class TestSourceReliability:
             priority_from_source_reliability(
                 graph, {t1: "a", t2: "b"}, [("a", "b"), ("b", "a")]
             )
+
+
+class TestOrientationRules:
+    """The rules behind the ranking and source builders orient single
+    conflicts (as a broker does for inserted ones) and, folded over a
+    graph, give the builders' priorities."""
+
+    def test_ranking_rule_orients_pairs_and_leaves_ties(self):
+        _, (t1, t2) = key_group(1, 2)
+        rule = ranking_rule(lambda row: row["B"])
+        assert rule(t1, t2) == (t2, t1) and rule(t2, t1) == (t2, t1)
+        lower_wins = ranking_rule(lambda row: row["B"], higher_wins=False)
+        assert lower_wins(t1, t2) == (t1, t2)
+        assert ranking_rule(lambda row: 0)(t1, t2) is None
+
+    def test_source_order_rule_is_transitive_and_partial(self):
+        _, (t1, t2) = key_group(1, 2)
+        sources = {t1: "a", t2: "c"}
+        rule = source_order_rule(sources.__getitem__, [("a", "b"), ("b", "c")])
+        assert rule(t2, t1) == (t1, t2)
+        unrelated = source_order_rule(sources.__getitem__, [("a", "b")])
+        assert unrelated(t1, t2) is None
+
+    def test_source_order_rule_rejects_cycles_up_front(self):
+        with pytest.raises(CyclicPriorityError):
+            source_order_rule(str, [("a", "b"), ("b", "a")])
+
+    def test_folded_rules_match_the_builders(self):
+        scenario = mgr_scenario()
+        order = [("s1", "s3"), ("s2", "s3")]
+        sources = mgr_source_of()
+        assert priority_from_rule(
+            scenario.graph, source_order_rule(sources.__getitem__, order)
+        ).edges == priority_from_source_reliability(
+            scenario.graph, sources, order
+        ).edges
+        rank = lambda row: row["Salary"]  # noqa: E731
+        assert priority_from_rule(scenario.graph, ranking_rule(rank)).edges == (
+            priority_from_ranking(scenario.graph, rank).edges
+        )
 
 
 class TestRelationAndPairs:

@@ -596,3 +596,60 @@ class TestServeBackendFlag:
         ]
         assert health["backends"] == {"default": engine}
         assert answer["engine"] == engine
+
+
+class TestPreferRuleOrientsInserts:
+    """``--prefer-*`` is one rule the broker applies on every insert:
+    after an insert that creates a conflict, ``serve``, ``session`` and
+    ``cqa`` over the final instance give the same answer."""
+
+    CASES = {
+        "prefer-new": (
+            "A:number,B:number",
+            ["1,0", "2,0"],
+            [1, 5],
+            ["--prefer-new", "B"],
+            "EXISTS x . R(x, 5)",
+        ),
+        "prefer-source": (
+            "A:number,B:number,S",
+            ["1,0,s2", "2,0,s2"],
+            [1, 5, "s1"],
+            ["--prefer-source", "S", "--source-order", "s1>s2"],
+            "EXISTS x, s . R(x, 5, s)",
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", ["memory", "prefsql"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_serve_session_and_cqa_agree(
+        self, tmp_path, monkeypatch, capsys, case, backend
+    ):
+        header, rows, inserted, flags, query = self.CASES[case]
+
+        def data_args(name, lines):
+            path = tmp_path / name / "R.csv"
+            path.parent.mkdir()
+            path.write_text("\n".join([header, *lines]) + "\n")
+            return ["--csv", str(path), "--fd", "A -> B", "--family", "G", *flags]
+
+        initial = data_args("initial", rows)
+        requests = [{"op": "insert", "values": inserted}, {"query": query}]
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO("\n".join(map(json.dumps, requests)))
+        )
+        assert main(["serve", "--stdio", "--backend", backend, *initial]) == 0
+        insert_reply, served = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert served["verdict"] == "true"
+        assert (insert_reply["applied"], insert_reply["new_conflicts"]) == (True, 1)
+
+        script = tmp_path / "script.txt"
+        script.write_text(f"+ {', '.join(map(str, inserted))}\n? {query}\n")
+        assert main(["session", "--script", str(script), "--json", *initial]) == 0
+        assert json.loads(capsys.readouterr().out)["events"][-1]["verdict"] == "true"
+
+        final = data_args("final", [*rows, ",".join(map(str, inserted))])
+        assert main(["cqa", "--query", query, *final]) == 0
+        assert "verdict=true" in capsys.readouterr().out
