@@ -89,7 +89,7 @@ class SqlCqaEngine:
         # decision serves every text of a shape.  Bounded: a mirror's
         # engine lives as long as its data, and client traffic brings
         # new query shapes.
-        self._decision_cache: BoundedCache[
+        self.decisions: BoundedCache[
             Tuple[Formula, Optional[Tuple[str, ...]]], RewriteDecision
         ] = BoundedCache(1024, "sql_decision")
         #: Routing of the most recent answered call: ``"sqlite"``.
@@ -145,13 +145,13 @@ class SqlCqaEngine:
                 None, _PRIORITY_REASON, diagnostics=(_PRIORITY_DIAGNOSTIC,)
             )
         key = (formula, tuple(variables) if variables is not None else None)
-        decision = self._decision_cache.get(key)
+        decision = self.decisions.get(key)
         if decision is None:
             decision = analyze_query(
                 formula, self.schema, self.dependencies, variables,
                 classification=classification,
             )
-            self._decision_cache.put(key, decision)
+            self.decisions.put(key, decision)
         return decision
 
     def _run(

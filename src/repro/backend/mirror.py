@@ -38,9 +38,10 @@ per-database mirror lock) concurrent readers may share the connection.
 from __future__ import annotations
 
 import sqlite3
-from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Union
 
 from repro.backend.engine import SqlCqaEngine
+from repro.cache import STATS_FIELDS, add_stats, tally
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.priorities.priority import PriorityEdge
@@ -68,6 +69,12 @@ class SqliteMirror:
         self._engine: Optional[SqlCqaEngine] = None
         self._pref_engine = None
         self._pref_edges: Optional[FrozenSet[PriorityEdge]] = None
+        #: Per family, what the decision caches of the pushed engines
+        #: dropped so far counted; guarded by the caller's refresh lock.
+        self._retired: Dict[str, Dict[str, int]] = {
+            "sql_decision": dict.fromkeys(STATS_FIELDS, 0),
+            "prefsql_decision": dict.fromkeys(STATS_FIELDS, 0),
+        }
 
     def mark_dirty(self) -> None:
         """Record that the source instance changed since the last refresh."""
@@ -84,6 +91,8 @@ class SqliteMirror:
         if callable(database):
             database = database()
         save_database(database, self._connection, self.dependencies)
+        self._retire(self._engine)
+        self._retire(self._pref_engine)
         self._engine = SqlCqaEngine(
             self._connection, self.dependencies, family=self.family
         )
@@ -139,6 +148,7 @@ class SqliteMirror:
                 # ``family`` always means the mirror's own default.
                 self._pref_engine.family = effective_family
         else:
+            self._retire(self._pref_engine)
             self._pref_engine = PrefSqlCqaEngine(
                 self._connection,
                 self.dependencies,
@@ -147,6 +157,21 @@ class SqliteMirror:
             )
             self._pref_edges = edges
         return self._pref_engine
+
+    def _retire(self, engine) -> None:
+        """Carry a dropped engine's decision-cache counts into the
+        running totals; its entries go with it."""
+        if engine is not None:
+            counts = {**engine.decisions.stats(), "entries": 0}
+            add_stats(self._retired, engine.decisions.family, counts)
+
+    def add_cache_stats(self, totals: Dict[str, Dict[str, int]]) -> None:
+        """Add the live pushed engines' decision-cache stats and the
+        retired counts to ``totals``; callers hold the refresh lock."""
+        for family, counts in self._retired.items():
+            add_stats(totals, family, counts)
+        engines = (self._engine, self._pref_engine)
+        tally([engine.decisions for engine in engines if engine is not None], totals)
 
     def close(self) -> None:
         self._connection.close()

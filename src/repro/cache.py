@@ -5,9 +5,9 @@ decisions, the evaluator's contexts and the incremental engine's
 per-component repair sets and witness indexes are all kept in a
 :class:`BoundedCache`: a thread-safe mapping that holds at most
 ``max_entries`` values and evicts the least recently used one to make
-room.  Each cache names its *family*; hits, misses and evictions are
-counted on the instance and reported per family through
-:func:`repro.obs.observe_cache`.
+room.  Each cache names its *family* and counts its own hits, misses
+and evictions; :func:`tally` sums caches per family, which is what the
+broker's ``cache_stats()`` and ``/metrics`` read.
 
 Keys are content fingerprints (query texts, row sets, instance
 states), so a stale entry can never be served: it simply stops being
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Generic, Hashable, List, Optional, TypeVar
-
-from repro.obs import observe_cache
+from typing import Dict, Generic, Hashable, Iterable, List, Optional, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
+
+#: The fields of :meth:`BoundedCache.stats`.
+STATS_FIELDS = ("entries", "hits", "misses", "evictions")
 
 
 class BoundedCache(Generic[K, V]):
@@ -58,7 +59,6 @@ class BoundedCache(Generic[K, V]):
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        observe_cache(self.family, "miss" if value is None else "hit")
         return value
 
     def put(self, key: K, value: V) -> None:
@@ -73,8 +73,6 @@ class BoundedCache(Generic[K, V]):
                 self.evictions += 1
             self._entries[key] = value
             self._entries.move_to_end(key)
-        if evict:
-            observe_cache(self.family, "eviction")
 
     def values(self) -> List[V]:
         """A snapshot of every stored value (recency is left unchanged)."""
@@ -95,3 +93,20 @@ class BoundedCache(Generic[K, V]):
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
+
+
+def add_stats(totals: Dict[str, Dict[str, int]], family: str, counts) -> None:
+    """Add ``counts`` (fields of :meth:`BoundedCache.stats`) to
+    ``family``'s row of ``totals``."""
+    row = totals.setdefault(family, dict.fromkeys(STATS_FIELDS, 0))
+    for name, value in counts.items():
+        row[name] += value
+
+
+def tally(caches: Iterable[BoundedCache], totals=None) -> Dict[str, Dict[str, int]]:
+    """Sum ``caches``' stats per family into ``totals`` (by default a
+    new table) and return it."""
+    totals = {} if totals is None else totals
+    for cache in caches:
+        add_stats(totals, cache.family, cache.stats())
+    return totals

@@ -47,6 +47,7 @@ from repro.constraints.fd import FunctionalDependency
 from repro.core.cleaning import clean
 from repro.core.families import FAMILY_CODES, preferred_repairs
 from repro.cqa.engine import CqaEngine
+from repro.exceptions import ReproError
 from repro.priorities.builders import (
     priority_from_rule,
     ranking_rule,
@@ -460,7 +461,6 @@ def _cmd_session(args: argparse.Namespace) -> int:
     ``query`` payload, and its event is the front end's reply."""
     import json
 
-    from repro.exceptions import ReproError
     from repro.service.broker import RequestBroker
     from repro.service.server import ServiceFrontEnd
 
@@ -1397,7 +1397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        # Malformed input: one line on stderr, exit status 1.
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,7 @@ stays bounded.  Fragment and preferred lookups report under the
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.cache import BoundedCache
 from repro.constraints.conflict_graph import ConflictGraph
@@ -44,7 +44,6 @@ class ComponentRepairCache:
     """Per-component repair sets, preferred fragments and subgraphs."""
 
     def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
         self._graphs: BoundedCache[FrozenSet[Row], ConflictGraph] = (
             BoundedCache(max_entries, "component_graph")
         )
@@ -116,22 +115,6 @@ class ComponentRepairCache:
 
     # Diagnostics --------------------------------------------------------------
 
-    def stats(self) -> Dict[str, int]:
-        """Fragment and preferred-fragment lookups, plus store sizes."""
-        fragments = self._fragments.stats()
-        preferred = self._preferred.stats()
-        return {
-            "hits": fragments["hits"] + preferred["hits"],
-            "misses": fragments["misses"] + preferred["misses"],
-            "evictions": fragments["evictions"] + preferred["evictions"],
-            "graphs": len(self._graphs),
-            "fragment_sets": fragments["entries"],
-            "preferred_sets": preferred["entries"],
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        stats = self.stats()
-        return (
-            f"ComponentRepairCache({stats['fragment_sets']} fragment sets, "
-            f"{stats['hits']} hits / {stats['misses']} misses)"
-        )
+    def caches(self) -> Tuple[BoundedCache, ...]:
+        """The three stores, each counting its own lookups."""
+        return (self._graphs, self._fragments, self._preferred)

@@ -39,7 +39,7 @@ from typing import (
     Union,
 )
 
-from repro.cache import BoundedCache
+from repro.cache import BoundedCache, tally
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.answers import ClosedAnswer, ClosedFold, OpenAnswers
@@ -663,6 +663,10 @@ class IncrementalCqaEngine:
         """The current instance reassembled into a :class:`Database`."""
         return Database.from_rows(self.schema, self.graph.vertices)
 
+    def caches(self) -> Tuple[BoundedCache, ...]:
+        """Every bounded cache this engine owns."""
+        return self._cache.caches() + (self._contexts, self._witnesses)
+
     def summary(self) -> Dict[str, object]:
         """Snapshot of the engine's inconsistency and cache state."""
         active = self.active_priority_edges()
@@ -675,7 +679,5 @@ class IncrementalCqaEngine:
             "components": self.graph.component_count,
             "conflict_components": self.graph.conflict_component_count,
             "updates_applied": self.updates_applied,
-            "cache": self._cache.stats(),
-            "witness_indexes": len(self._witnesses),
-            "evaluation_contexts": len(self._contexts),
+            "cache": tally(self.caches()),
         }

@@ -13,7 +13,7 @@ exposition (``GET /metrics``) needs no per-module knowledge.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from .recorder import FlightRecorder, QueryRecord, RECORDER
 from .registry import (
@@ -62,7 +62,7 @@ __all__ = [
     "trace",
     "observe_query",
     "observe_fallback",
-    "observe_cache",
+    "observe_broker",
     "observe_process",
     "query_histogram",
 ]
@@ -106,32 +106,6 @@ def observe_fallback(
             "Pushdown fallbacks to in-memory evaluation, by reason",
             labels=("reason",),
         ).labels(reason=reason).inc()
-
-
-def observe_cache(
-    cache: str,
-    event: str,
-    amount: int = 1,
-    registry: MetricsRegistry = REGISTRY,
-) -> None:
-    """Record a cache event: ``event`` is "hit", "miss", or "eviction".
-
-    ``cache`` names the family of a :class:`~repro.cache.BoundedCache`:
-    "answer" (broker result cache), "route_report" (broker work
-    units, one per constant-lifted text: checked template formula,
-    route analysis and target), "sql_decision" / "prefsql_decision"
-    (the SQL engines' routing decisions, one per template and family
-    on the served path), "context" (evaluator contexts),
-    "component_repair" (incremental per-component repair and preferred
-    fragments), or "component_graph" (their induced subgraphs).
-    """
-    if not registry.enabled:
-        return
-    registry.counter(
-        "repro_cache_events_total",
-        "Cache hits, misses, and evictions by cache family",
-        labels=("cache", "event"),
-    ).labels(cache=cache, event=event).inc(amount)
 
 
 def _resident_bytes() -> Optional[int]:
@@ -190,3 +164,38 @@ def observe_process(registry: MetricsRegistry = REGISTRY) -> None:
             "repro_process_resident_bytes",
             "Resident set size of the serving process",
         ).set(rss)
+
+
+#: ``repro_cache_events_total`` event label -> ``cache_stats()`` field.
+_CACHE_EVENTS = (("hit", "hits"), ("miss", "misses"), ("eviction", "evictions"))
+
+
+def observe_broker(
+    caches: Dict[str, Dict[str, int]],
+    admission: Dict[str, object],
+    registry: MetricsRegistry = REGISTRY,
+) -> None:
+    """Copy a broker's ``cache_stats()`` and ``admission.stats()`` into
+    their metrics; called at each scrape, like :func:`observe_process`."""
+    if not registry.enabled:
+        return
+    events = registry.counter(
+        "repro_cache_events_total",
+        "Cache hits, misses, and evictions by cache family",
+        labels=("cache", "event"),
+    )
+    for cache, counts in caches.items():
+        for event, field in _CACHE_EVENTS:
+            events.labels(cache=cache, event=event).set(counts[field])
+    registry.gauge(
+        "repro_inflight_requests",
+        "Submissions currently being served",
+    ).set(admission["inflight"])
+    registry.gauge(
+        "repro_accept_queue_depth",
+        "Submissions waiting in the bounded accept queue",
+    ).set(admission["queued"])
+    registry.counter(
+        "repro_rejected_total",
+        "Submissions rejected at admission control",
+    ).set(admission["rejected"])

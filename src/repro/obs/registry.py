@@ -71,31 +71,6 @@ def _labels_text(names: Sequence[str], values: Sequence[str]) -> str:
     return "{" + inner + "}"
 
 
-class Counter:
-    """A monotonically increasing total (one child of a counter family)."""
-
-    __slots__ = ("_registry", "_lock", "_value")
-
-    def __init__(self, registry: "MetricsRegistry") -> None:
-        self._registry = registry
-        self._lock = threading.Lock()
-        self._value = 0.0  # guarded-by: _lock
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        # Exposition snapshot: a torn read is impossible for a float
-        # attribute swap and staleness is acceptable.
-        return self._value  # lint: unguarded-ok
-
-
 class Gauge:
     """A value that can go up and down (one child of a gauge family)."""
 
@@ -123,8 +98,27 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        # Same snapshot-read contract as Counter.value.
+        # Exposition snapshot: a torn read is impossible for a float
+        # attribute swap and staleness is acceptable.
         return self._value  # lint: unguarded-ok
+
+
+class Counter(Gauge):
+    """A monotonically increasing total (one child of a counter family).
+
+    Callers :meth:`inc` it, or the object that keeps the total copies
+    it in with :meth:`set` at scrape time.
+    """
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if not self._registry.enabled:
+            return
+        if amount < 0:
+            raise ValueError("counters only go up; use a Gauge")
+        with self._lock:
+            self._value += amount
 
 
 class Histogram:

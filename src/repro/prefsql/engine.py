@@ -161,7 +161,7 @@ class PrefSqlCqaEngine:
         # Bounded: the broker keeps one engine alive per database for
         # the lifetime of its data, while client traffic brings new
         # query shapes.
-        self._decisions: BoundedCache[
+        self.decisions: BoundedCache[
             Tuple[Formula, Optional[Tuple[str, ...]], Family], RewriteDecision
         ] = BoundedCache(1024, "prefsql_decision")
         #: Routing of the most recent answered call: ``"prefsql"`` or
@@ -223,7 +223,7 @@ class PrefSqlCqaEngine:
                     if reason is not None:
                         self._blocked[name] = reason
             self._build_survivors()
-            self._decisions.clear()
+            self.decisions.clear()
 
     # Survivor management -----------------------------------------------------
 
@@ -325,7 +325,7 @@ class PrefSqlCqaEngine:
             tuple(variables) if variables is not None else None,
             family,
         )
-        decision = self._decisions.get(key)
+        decision = self.decisions.get(key)
         if decision is not None:
             return decision
         mentioned = relations_of(formula)
@@ -366,7 +366,7 @@ class PrefSqlCqaEngine:
                 if decision.pushed:
                     route = "prefsql" if prioritized else "sqlite"
                     decision = replace(decision, route=route)
-            self._decisions.put(key, decision)
+            self.decisions.put(key, decision)
         return decision
 
     def _run(

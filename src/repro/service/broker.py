@@ -91,7 +91,7 @@ from repro.analysis import Diagnostic, RouteReport, Theory, restate
 from repro.analysis import analyze as analyze_routes
 from repro.backend.mirror import SqliteMirror
 from repro.backend.rewrite import RewriteDecision
-from repro.cache import BoundedCache
+from repro.cache import BoundedCache, tally
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers
@@ -200,11 +200,11 @@ class AdmissionController:
     rejected immediately with :class:`~repro.exceptions.AdmissionError`
     — the caller sheds load instead of queueing unboundedly.  With
     ``max_inflight=None`` (the default) nothing blocks or rejects; the
-    controller only maintains the saturation gauges.
+    controller only counts.
 
-    Gauges/counters (when the registry is enabled):
-    ``repro_inflight_requests``, ``repro_accept_queue_depth``, and
-    ``repro_rejected_total``.
+    The counts are the controller's own; a ``/metrics`` or ``/stats``
+    scrape copies :meth:`stats` into ``repro_inflight_requests``,
+    ``repro_accept_queue_depth`` and ``repro_rejected_total``.
     """
 
     def __init__(
@@ -227,20 +227,6 @@ class AdmissionController:
         self.queued = 0  # guarded-by: _condition
         self.rejected = 0  # guarded-by: _condition
 
-    def _set_gauges(self) -> None:
-        """Mirror the counters into the registry (caller holds the
-        condition lock, so reads here are consistent)."""
-        if not REGISTRY.enabled:
-            return
-        REGISTRY.gauge(
-            "repro_inflight_requests",
-            "Submissions currently being served",
-        ).set(self.inflight)  # lint: unguarded-ok
-        REGISTRY.gauge(
-            "repro_accept_queue_depth",
-            "Submissions waiting in the bounded accept queue",
-        ).set(self.queued)  # lint: unguarded-ok
-
     def admit(self) -> "AdmissionController":
         """``with controller.admit():`` — hold one in-flight slot."""
         return self
@@ -253,29 +239,21 @@ class AdmissionController:
             ):
                 if self.queued >= self.max_queue:
                     self.rejected += 1
-                    if REGISTRY.enabled:
-                        REGISTRY.counter(
-                            "repro_rejected_total",
-                            "Submissions rejected at admission control",
-                        ).inc()
                     raise AdmissionError(
                         f"service saturated: {self.inflight} in flight, "
                         f"{self.queued} queued (limits: "
                         f"{self.max_inflight}/{self.max_queue}); retry later"
                     )
                 self.queued += 1
-                self._set_gauges()
                 while self.inflight >= self.max_inflight:
                     self._condition.wait()
                 self.queued -= 1
             self.inflight += 1
-            self._set_gauges()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         with self._condition:
             self.inflight -= 1
-            self._set_gauges()
             self._condition.notify()
 
     def stats(self) -> Dict[str, object]:
@@ -971,33 +949,17 @@ class RequestBroker:
         return self._target(entry, self._priority_fingerprint(entry))
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """All three cache families, uniformly shaped.
-
-        Each family reports ``{entries, hits, misses, evictions}``; the
-        context and component-repair families aggregate across every
-        registered database's engine.
+        """Every cache the broker owns (answers, work units, each
+        engine's and each mirror's), summed per family as ``{entries,
+        hits, misses, evictions}``; no count but ``entries`` decreases.
         """
-        families: Dict[str, Dict[str, int]] = {
-            "answer": self.cache.stats(),
-            "context": {"entries": 0, "hits": 0, "misses": 0, "evictions": 0},
-            "component_repair": {
-                "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
-            },
-        }
+        totals = tally((self.cache, self._units))
         for entry in self._entries.values():
-            context = entry.engine._contexts.stats()
-            for field_name in ("entries", "hits", "misses", "evictions"):
-                families["context"][field_name] += context[field_name]
-            component = entry.engine._cache.stats()
-            families["component_repair"]["hits"] += component["hits"]
-            families["component_repair"]["misses"] += component["misses"]
-            families["component_repair"]["evictions"] += component["evictions"]
-            families["component_repair"]["entries"] += (
-                component["graphs"]
-                + component["fragment_sets"]
-                + component["preferred_sets"]
-            )
-        return families
+            tally(entry.engine.caches(), totals)
+            if entry.mirror is not None:
+                with entry.mirror_lock:
+                    entry.mirror.add_cache_stats(totals)
+        return totals
 
     def stats(self) -> Dict[str, object]:
         """Broker-level counters plus per-database engine summaries."""

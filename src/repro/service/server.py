@@ -39,6 +39,7 @@ from repro.core.families import FAMILY_CODES, Family
 from repro.cqa.answers import ClosedAnswer, OpenAnswers
 from repro.exceptions import AdmissionError, ReproError
 from repro.obs import RECORDER, REGISTRY, FlightRecorder, observe_process
+from repro.obs import observe_broker
 from repro.relational.rows import Row, values_sort_key
 from repro.service.broker import BrokerResult, Request, RequestBroker
 
@@ -172,6 +173,7 @@ class ServiceFrontEnd:
     def stats(self) -> dict:
         observe_process()
         stats = dict(self.broker.stats())
+        observe_broker(stats["caches"], stats["admission"])
         stats["requests_served"] = self.requests_served
         stats["uptime_s"] = self._uptime()
         stats["metrics"] = REGISTRY.snapshot()
@@ -181,10 +183,12 @@ class ServiceFrontEnd:
     def metrics(self) -> str:
         """The process metrics registry in Prometheus text format.
 
-        Process gauges (RSS, GC, threads) refresh here — pull-model
-        sampling, so they are as fresh as the scrape that reads them.
+        Process gauges (RSS, GC, threads), cache events and admission
+        metrics refresh here — pull-model sampling, as fresh as the
+        scrape that reads them.
         """
         observe_process()
+        observe_broker(self.broker.cache_stats(), self.broker.admission.stats())
         return REGISTRY.render()
 
     def debug_queries(

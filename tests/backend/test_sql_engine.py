@@ -112,7 +112,7 @@ class TestPushdown:
         with SqlCqaEngine(db_path, FDS) as engine:
             for value in range(1100):
                 assert engine.explain(f"EXISTS b . R(k, {value}, b)").pushed
-            assert len(engine._decision_cache) == 1024
+            assert len(engine.decisions) == 1024
 
     def test_summary_reports_route(self, db_path):
         with SqlCqaEngine(db_path, FDS) as engine:

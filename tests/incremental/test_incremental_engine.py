@@ -285,7 +285,7 @@ class TestBlockerUpdates:
             getattr(engine, action)(row)
             self.assert_matches_fresh_engines(engine, declared)
         # The indexes built before the updates answered after them.
-        assert engine.summary()["witness_indexes"] == 4
+        assert engine.summary()["cache"]["witness_index"]["entries"] == 4
 
     def test_blocker_outside_the_support_component_decides(self):
         engine = IncrementalCqaEngine([self.FAR_SUPPORT], TWO_FDS)
@@ -374,10 +374,10 @@ class TestEngineMechanics:
         )
         query = "EXISTS x . R(x, 1)"
         engine.answer(query)
-        misses_before = engine._cache.stats()["misses"]
+        misses_before = engine.summary()["cache"]["component_repair"]["misses"]
         engine.insert(kv(0, 2))  # touches component 0 only
         engine.answer(query)
-        stats = engine._cache.stats()
+        stats = engine.summary()["cache"]["component_repair"]
         # One new component fingerprint (the grown component 0) missing
         # at both layers (fragment + preferred); the other five
         # components are served from cache.
@@ -395,7 +395,7 @@ class TestEngineMechanics:
         for threshold in range(32):
             engine.answer(f"EXISTS x, y . R(x, y) AND y > {threshold}")
             engine.answer(hot)
-        assert engine.summary()["witness_indexes"] == 32
+        assert engine.summary()["cache"]["witness_index"]["entries"] == 32
         assert engine._witness_index(hot, ()) is index
 
     def test_summary_reports_incremental_state(self):

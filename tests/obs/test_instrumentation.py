@@ -8,6 +8,7 @@ import sqlite3
 import pytest
 
 from repro.backend import SqlCqaEngine
+from repro.cache import tally
 from repro.constraints.conflict_graph import build_conflict_graph
 from repro.constraints.denial import fd_as_denial
 from repro.constraints.fd import FunctionalDependency
@@ -18,7 +19,7 @@ from repro.incremental import IncrementalCqaEngine
 from repro.obs import (
     REGISTRY,
     MetricsRegistry,
-    observe_cache,
+    observe_broker,
     observe_fallback,
     observe_query,
     trace,
@@ -31,6 +32,7 @@ from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.schema import RelationSchema
 from repro.relational.sqlite_io import save_database
+from repro.service.broker import AdmissionController
 
 SCHEMA = RelationSchema("Mgr", ["Name", "Dept", "Salary:number"])
 ROWS = [("Mary", "RD", 40), ("Mary", "IT", 20), ("John", "RD", 10)]
@@ -99,7 +101,11 @@ class TestObserveQuery:
     def test_disabled_registry_records_nothing(self):
         registry = MetricsRegistry(enabled=False)
         observe_query("cqa", "indexed", "Rep", 0.1, registry=registry)
-        observe_cache("answer", "hit", registry=registry)
+        observe_broker(
+            {"answer": {"entries": 1, "hits": 1, "misses": 0, "evictions": 0}},
+            AdmissionController().stats(),
+            registry=registry,
+        )
         assert registry.snapshot() == {}
 
 
@@ -115,6 +121,7 @@ class TestCacheCounters:
         assert cache.stats() == {
             "entries": 1, "hits": 1, "misses": 2, "evictions": 1,
         }
+        observe_broker(tally([cache]), AdmissionController().stats())
         events = REGISTRY.snapshot()["repro_cache_events_total"]["values"]
         assert events["context,miss"] == 2.0
         assert events["context,hit"] == 1.0
@@ -127,9 +134,10 @@ class TestCacheCounters:
         )
         engine.answer(CLOSED)
         engine.answer(CLOSED)
-        stats = engine._cache.stats()
+        stats = engine.summary()["cache"]["component_repair"]
         assert set(stats) >= {"hits", "misses", "evictions"}
         assert stats["misses"] > 0
+        observe_broker(tally(engine.caches()), AdmissionController().stats())
         events = REGISTRY.snapshot()["repro_cache_events_total"]["values"]
         assert events.get("component_repair,miss", 0) > 0
 

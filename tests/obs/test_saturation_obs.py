@@ -95,12 +95,13 @@ class TestThroughputAndInflight:
         snapshot = REGISTRY.snapshot()
         assert snapshot["repro_requests_total"]["values"][""] == 3
 
-    def test_inflight_gauge_returns_to_zero(self, broker):
+    def test_inflight_gauge_returns_to_zero(self, broker, front):
         broker.submit([Request("EXISTS a, b, c, d . R(a, b, c, d)")])
+        front.metrics()
         snapshot = REGISTRY.snapshot()
         assert snapshot["repro_inflight_requests"]["values"][""] == 0
 
-    def test_rejected_total_appears_on_rejection(self, broker):
+    def test_rejected_total_appears_on_rejection(self, broker, front):
         broker.admission.max_inflight = 1
         broker.admission.max_queue = 0
         from repro.exceptions import AdmissionError
@@ -108,6 +109,7 @@ class TestThroughputAndInflight:
         with broker.admission.admit():
             with pytest.raises(AdmissionError):
                 broker.submit([Request("EXISTS a, b, c, d . R(a, b, c, d)")])
+        front.metrics()
         snapshot = REGISTRY.snapshot()
         assert snapshot["repro_rejected_total"]["values"][""] == 1
 
@@ -199,4 +201,6 @@ class TestScrapeUnderLoad:
         assert snapshot["repro_requests_total"]["values"][""] == (
             reads + len(WORKLOAD.reads)
         )
+        front.metrics()
+        snapshot = REGISTRY.snapshot()
         assert snapshot["repro_inflight_requests"]["values"][""] == 0

@@ -54,7 +54,16 @@ class TestBrokerObservability:
         broker.submit([Request(query="EXISTS y . R(x, y)")])
         broker.submit([Request(query="EXISTS y . R(x, y)")])
         caches = broker.stats()["caches"]
-        assert set(caches) == {"answer", "context", "component_repair"}
+        assert set(caches) == {
+            "answer",
+            "route_report",
+            "context",
+            "component_graph",
+            "component_repair",
+            "witness_index",
+            "sql_decision",
+            "prefsql_decision",
+        }
         for family in caches.values():
             assert set(family) == {"entries", "hits", "misses", "evictions"}
         assert caches["answer"]["hits"] >= 1
@@ -96,6 +105,103 @@ class TestFrontEndEndpoints:
                 assert line.startswith(("# HELP ", "# TYPE "))
             else:
                 assert _SAMPLE.match(line), f"malformed sample: {line!r}"
+
+
+#: One ``repro_cache_events_total`` sample of the exposition.
+_CACHE_EVENT = re.compile(
+    r'^repro_cache_events_total\{cache="([a-z_]+)",event="([a-z]+)"\} (\d+)$',
+    re.MULTILINE,
+)
+_EVENT_FIELDS = {"hit": "hits", "miss": "misses", "eviction": "evictions"}
+
+#: Pushed (sqlite/prefsql) and in-memory (witness-index, indexed) reads.
+_SCRAPE_QUERIES = (
+    "EXISTS y . R(x, y)",
+    "EXISTS x . R(x, 1)",
+    "EXISTS x . R(x, 0) AND NOT R(x, 1)",
+    "FORALL x . NOT R(x, 1)",
+)
+
+
+class TestScrapeConsistency:
+    """/metrics and /stats read the same counts, and none decreases."""
+
+    @pytest.fixture
+    def ranked(self):
+        instance = grid_instance(3, 2)
+        rows = sorted(instance.rows, key=repr)
+        broker = RequestBroker()
+        broker.register("plain", instance, GRID_FDS)
+        broker.register(
+            "ranked", instance, GRID_FDS, priority=[(rows[0], rows[1])]
+        )
+        yield ServiceFrontEnd(broker)
+        broker.close()
+
+    @staticmethod
+    def _serve(front, queries):
+        for _ in range(2):
+            for database in ("plain", "ranked"):
+                for query in queries:
+                    reply = front.handle(
+                        {"query": query, "database": database}
+                    )
+                    assert "error" not in reply, reply
+
+    @staticmethod
+    def _scrape(front):
+        """The cache events of /metrics, checked against /stats."""
+        text = front.metrics()
+        stats = front.stats()
+        events = {
+            (cache, event): int(value)
+            for cache, event, value in _CACHE_EVENT.findall(text)
+        }
+        caches = stats["caches"]
+        assert {cache for cache, _ in events} == set(caches)
+        for (cache, event), value in events.items():
+            assert value == caches[cache][_EVENT_FIELDS[event]], (cache, event)
+        metrics = stats["metrics"]
+        admission = stats["admission"]
+        assert metrics["repro_inflight_requests"]["values"][""] == (
+            admission["inflight"]
+        )
+        assert metrics["repro_accept_queue_depth"]["values"][""] == (
+            admission["queued"]
+        )
+        assert metrics["repro_rejected_total"]["values"][""] == (
+            admission["rejected"]
+        )
+        return events
+
+    def test_metrics_and_stats_agree_and_never_decrease(self, ranked):
+        self._serve(ranked, _SCRAPE_QUERIES)
+        before = self._scrape(ranked)
+        assert {cache for cache, _ in before} == {
+            "answer",
+            "route_report",
+            "context",
+            "component_graph",
+            "component_repair",
+            "witness_index",
+            "sql_decision",
+            "prefsql_decision",
+        }
+        for cache in {cache for cache, _ in before}:
+            assert before[(cache, "hit")] + before[(cache, "miss")] > 0, cache
+        # An insert dirties each mirror: the next pushed read refreshes
+        # it and drops both pushed engines with their decision caches.
+        for database in ("plain", "ranked"):
+            reply = ranked.handle(
+                {"op": "insert", "database": database, "values": [0, 2]}
+            )
+            assert reply["new_conflicts"] == 2
+        # Fewer lookups than before the insert: the new engines alone
+        # count less than the dropped ones did.
+        self._serve(ranked, _SCRAPE_QUERIES[:1])
+        after = self._scrape(ranked)
+        for key, value in before.items():
+            assert after[key] >= value, key
 
 
 class TestAccessLog:

@@ -7,10 +7,11 @@ import threading
 
 import pytest
 
-from repro.cache import BoundedCache
+from repro.cache import BoundedCache, tally
 from repro.datagen.generators import grid_instance
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, observe_broker
 from repro.query.evaluator import ContextCache
+from repro.service.broker import AdmissionController
 
 
 @pytest.fixture
@@ -96,6 +97,7 @@ class TestBoundedCache:
         cache.get("a")
         cache.get("a")
         cache.put("b", 2)
+        observe_broker(tally([cache]), AdmissionController().stats())
         events = registry.snapshot()["repro_cache_events_total"]["values"]
         assert events == {
             "test_family,miss": 1.0,

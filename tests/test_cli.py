@@ -241,6 +241,37 @@ class TestArgumentErrors:
                 ]
             )
 
+    @pytest.mark.parametrize("command", ["query", "analyze", "cqa"])
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("R(x", "expected \\) at end of input"),
+            ("Q(x)", "unknown relation 'Q'"),
+        ],
+        ids=["malformed", "unknown-relation"],
+    )
+    def test_a_bad_query_exits_with_one_line(
+        self, tmp_path, command, query, message
+    ):
+        path = tmp_path / "R.csv"
+        path.write_text("A:number,B:number\n0,0\n0,1\n1,0\n")
+        with pytest.raises(SystemExit, match=message) as excinfo:
+            main(
+                [command, "--csv", str(path), "--fd", "A -> B",
+                 "--query", query]
+            )
+        # A string code: Python prints it to stderr and exits with 1.
+        assert isinstance(excinfo.value.code, str)
+        assert "\n" not in excinfo.value.code
+
+    def test_an_unknown_aggregate_attribute_exits_with_one_line(self, mgr_csv):
+        with pytest.raises(SystemExit, match="no attribute 'Bonus'") as excinfo:
+            main(
+                ["aggregate", "--csv", str(mgr_csv), *fd_args(),
+                 "--agg", "sum", "--attribute", "Bonus"]
+            )
+        assert isinstance(excinfo.value.code, str)
+
 
 @pytest.fixture
 def kv_sqlite(tmp_path):
